@@ -161,33 +161,26 @@ class Tlb {
   // on hit.
   LookupResult Lookup(uint64_t vpn, uint16_t vmid = 0);
 
-  // O(1) repeat-probe for a huge entry of `region`, used by the batched
-  // translation fast path.  If a recently hit or inserted huge entry for
-  // the region is still valid, performs exactly what Lookup would have
-  // done for any vpn of the region — huge entries probe first, and tags
-  // are unique per (set, size, vmid), so the memoized entry *is* the entry
-  // Lookup would return — counts the hit, touches LRU, fills `out`, and
-  // returns true.  Otherwise touches nothing (no miss counted; the caller
-  // falls back to Lookup) and returns false.  Defined inline below the
-  // class: it is the innermost step of the batch fast path.
+  // O(1) repeat-probe for a huge entry of `region`, used by the
+  // translation engine's per-region hit memo.  If a recently hit or
+  // inserted huge entry for the region is still valid, performs exactly
+  // what Lookup would have done for any vpn of the region — huge entries
+  // probe first, and tags are unique per (set, size, vmid), so the
+  // memoized entry *is* the entry Lookup would return — counts the hit,
+  // touches LRU, fills `out`, and returns true.  Otherwise touches nothing
+  // (no miss counted; the caller falls back to Lookup) and returns false.
+  // Defined inline below the class: it is the innermost step of the
+  // translation fast path.
   bool RehitHuge(uint64_t region, LookupResult* out, uint16_t vmid = 0);
 
   // Side-effect-free presence probe: true iff a Lookup of `vpn` would hit
-  // right now.  Touches no counters and no LRU state.  The batch prefetch
-  // planner uses it to skip side-walking accesses that will hit anyway
-  // (the answer is advisory — state may change before the real access —
-  // so correctness never depends on it).
+  // right now.  Touches no counters and no LRU state, so tests can observe
+  // residency without disturbing what they measure.
   bool Probe(uint64_t vpn, uint16_t vmid = 0) const {
     return FindEntry(vpn >> base::kHugeOrder, base::PageSize::kHuge, vmid) >=
                0 ||
            FindEntry(vpn, base::PageSize::kBase, vmid) >= 0;
   }
-
-  // Advisory prefetch of the two sets a Lookup of `vpn` will probe.  A
-  // probe scans the packed tag words of every way, so the tag lines of
-  // both sets are pulled (payload lines are only needed on a hit and are
-  // not worth the traffic).
-  void PrefetchSets(uint64_t vpn) const;
 
   // Inserts a translation for `vpn` at the given granularity, evicting the
   // LRU way of the target set (within the inserting VM's way window).  The
@@ -362,17 +355,6 @@ class Tlb {
   uint64_t flushes_ = 0;
   TlbUtilityMonitor* monitor_ = nullptr;  // not owned; null in private mode
 };
-
-inline void Tlb::PrefetchSets(uint64_t vpn) const {
-  const uint64_t region = vpn >> base::kHugeOrder;
-  const size_t hset = static_cast<size_t>(SetIndex(region)) * config_.ways;
-  const size_t bset = static_cast<size_t>(SetIndex(vpn)) * config_.ways;
-  // A set's packed tags span at most two cache lines; touch both ends.
-  __builtin_prefetch(&tags_[hset], 0, 1);
-  __builtin_prefetch(&tags_[hset + config_.ways - 1], 0, 1);
-  __builtin_prefetch(&tags_[bset], 0, 1);
-  __builtin_prefetch(&tags_[bset + config_.ways - 1], 0, 1);
-}
 
 inline bool Tlb::RehitHuge(uint64_t region, LookupResult* out,
                            uint16_t vmid) {

@@ -106,13 +106,14 @@ class TlbView {
     }
     return physical_->RehitHuge(region, out, vmid_);
   }
+  // Side-effect-free: whether a Lookup would hit now, seen through the
+  // attached stage if any (tests observe residency with it).
   bool Probe(uint64_t vpn) const {
     if (__builtin_expect(stage_ != nullptr, 0)) {
       return stage_->Probe(vpn);
     }
     return physical_->Probe(vpn, vmid_);
   }
-  void PrefetchSets(uint64_t vpn) const { physical_->PrefetchSets(vpn); }
   void Insert(uint64_t vpn, base::PageSize size, uint64_t frame,
               const Tlb::Stamp& stamp) {
     if (__builtin_expect(stage_ != nullptr, 0)) {

@@ -116,9 +116,8 @@ void Machine::AccessBatch(int32_t vm_id, std::span<const uint64_t> vpns,
   SIM_CHECK(!in_epoch_);
   VirtualMachine& v = vm(vm_id);
   out->resize(vpns.size());
-  v.engine().BeginBatch(vpns);
   for (size_t i = 0; i < vpns.size(); ++i) {
-    VirtualMachine::AccessResult result = v.AccessBatched(vpns[i]);
+    VirtualMachine::AccessResult result = v.Access(vpns[i]);
     result.cycles += work_cycles;
     (*out)[i] = result;
     // Per-access clock semantics, exactly as AdvanceTime: daemons run the
@@ -161,12 +160,11 @@ size_t Machine::EpochAccessBatch(
   SIM_CHECK(in_epoch_);
   VirtualMachine& v = vm(vm_id);
   SIM_CHECK(out->size() >= vpns.size());
-  v.engine().BeginBatch(vpns);
   base::Cycles lane_cycles = 0;
   size_t done = 0;
   for (; done < vpns.size(); ++done) {
     VirtualMachine::AccessResult result;
-    if (!v.TryAccessBatchedClean(vpns[done], &result)) {
+    if (!v.TryAccessClean(vpns[done], &result)) {
       break;  // would fault: suspend; the serial phase re-runs this access
     }
     result.cycles += work_cycles;

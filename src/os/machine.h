@@ -109,9 +109,8 @@ class Machine final : public MachineHooks {
   // calling Access per element — the clock advances and due daemons run
   // after every access, so daemon schedules, fault interleavings, and
   // Now() observations are identical at any batch size (the differential
-  // tests in tests/test_access_batch.cc pin this down).  Batching only
-  // engages the engine's memoized fast path and prefetch pipeline, plus an
-  // O(1) due-daemon check against the cached next event time.
+  // tests in tests/test_access_batch.cc pin this down).  What batching
+  // buys is an O(1) due-daemon check against the cached next event time.
   void AccessBatch(int32_t vm_id, std::span<const uint64_t> vpns,
                    base::Cycles work_cycles,
                    std::vector<VirtualMachine::AccessResult>* out);

@@ -1,29 +1,10 @@
 #include "workload/driver.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "base/check.h"
 
 namespace workload {
-
-namespace {
-
-uint64_t ResolveBatchSize(uint64_t requested) {
-  if (requested > 0) {
-    return requested;
-  }
-  if (const char* env = std::getenv("GEMINI_BATCH");
-      env != nullptr && env[0] != '\0') {
-    const uint64_t parsed = std::strtoull(env, nullptr, 10);
-    if (parsed > 0) {
-      return parsed;
-    }
-  }
-  return 64;
-}
-
-}  // namespace
 
 base::Cycles TouchWorkCycles(const WorkloadSpec& spec, TouchKind kind) {
   switch (kind) {
@@ -95,7 +76,7 @@ void WorkloadDriver::Begin(const WorkloadSpec& spec,
   SIM_CHECK(spec.working_set_pages >= spec.vma_count);
   spec_ = spec;
   options_ = options;
-  batch_size_ = ResolveBatchSize(options.batch_size);
+  batch_size_ = options.batch_size > 0 ? options.batch_size : 64;
 
   osim::GuestKernel& guest = machine_->vm(vm_id_).guest();
   pages_per_vma_ = spec_.working_set_pages / spec_.vma_count;

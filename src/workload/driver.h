@@ -60,10 +60,10 @@ struct DriverOptions {
   // Tear the workload's VMAs down after the run (models process exit; used
   // between phases of the reused-VM experiments).
   bool teardown = false;
-  // Maximum accesses per Machine::AccessBatch call.  0 resolves to
-  // $GEMINI_BATCH, or 64 if unset.  Simulation results are identical at
-  // any value (Machine::AccessBatch is access-for-access equivalent to
-  // scalar Access); this only tunes host-side amortization.
+  // Maximum accesses per Machine::AccessBatch call; 0 means 64.
+  // Simulation results are identical at any value (Machine::AccessBatch is
+  // access-for-access equivalent to scalar Access); this only tunes how
+  // far the due-daemon check is amortized.
   uint64_t batch_size = 0;
 };
 

@@ -150,6 +150,73 @@ TEST(Tlb, HugeCoverageBeatsBaseCoverage) {
   EXPECT_GT(base_tlb.misses(), base_tlb.hits());
 }
 
+// RehitHuge is the engine memo's stand-in for a huge-entry Lookup hit, so
+// it must have exactly a Lookup hit's effects.  Two identically filled
+// arrays: one driven through Lookup, the other through RehitHuge on the
+// same huge-entry hits.  Counters, returned entries, the restamp target
+// and the LRU order (witnessed by the next conflicting insert's victim)
+// must all agree.
+TEST(Tlb, RehitHugeMatchesLookupHit) {
+  Tlb lookup(Small(4, 4));
+  Tlb rehit(Small(4, 4));
+  // Set 0 holds three huge entries (regions 0, 4, 8) and one base entry.
+  const uint64_t kRegions[] = {0, 4, 8};
+  const uint64_t base_vpn = (100ull << kHugeOrder) + 4;
+  for (Tlb* t : {&lookup, &rehit}) {
+    for (const uint64_t r : kRegions) {
+      Tlb::Stamp stamp;
+      stamp.guest_gen = r + 1;
+      stamp.host_region = r + 2;
+      stamp.host_gen = r + 3;
+      stamp.well_aligned = true;
+      t->Insert(r << kHugeOrder, PageSize::kHuge, 1024 + r * kPagesPerHuge,
+                stamp);
+    }
+    t->Insert(base_vpn, PageSize::kBase, 77);
+    EXPECT_TRUE(t->Lookup(base_vpn).hit);
+  }
+  // With the LRU touch a Lookup hit makes, region 8 is the oldest entry
+  // after these hits; without it, region 4 (inserted before 8) would be.
+  for (const uint64_t r : {0ull, 4ull, 0ull}) {
+    const Tlb::LookupResult want = lookup.Lookup((r << kHugeOrder) + 17);
+    Tlb::LookupResult got;
+    ASSERT_TRUE(rehit.RehitHuge(r, &got)) << r;
+    EXPECT_TRUE(want.hit);
+    EXPECT_EQ(got.hit, want.hit);
+    EXPECT_EQ(got.size, want.size);
+    EXPECT_EQ(got.frame, want.frame);
+    EXPECT_EQ(got.stamp.guest_gen, want.stamp.guest_gen);
+    EXPECT_EQ(got.stamp.host_region, want.stamp.host_region);
+    EXPECT_EQ(got.stamp.host_gen, want.stamp.host_gen);
+    EXPECT_EQ(got.stamp.well_aligned, want.stamp.well_aligned);
+  }
+  // A region with no huge entry: no hit, and no counter moves.
+  Tlb::LookupResult none;
+  EXPECT_FALSE(rehit.RehitHuge(12, &none));
+  EXPECT_EQ(lookup.hits(), rehit.hits());
+  EXPECT_EQ(lookup.misses(), rehit.misses());
+
+  // Both restamp the entry the last hit returned (region 0).
+  Tlb::Stamp fresh;
+  fresh.guest_gen = 99;
+  lookup.RestampHit(fresh);
+  rehit.RestampHit(fresh);
+  EXPECT_EQ(lookup.Lookup(5).stamp.guest_gen, 99u);
+  EXPECT_EQ(rehit.Lookup(5).stamp.guest_gen, 99u);
+
+  // The next conflicting insert evicts the same way in both arrays.
+  for (Tlb* t : {&lookup, &rehit}) {
+    t->Insert(12ull << kHugeOrder, PageSize::kHuge, 1ull << 20);
+    EXPECT_FALSE(t->Probe(8ull << kHugeOrder));
+    EXPECT_TRUE(t->Probe(0));
+    EXPECT_TRUE(t->Probe(4ull << kHugeOrder));
+    EXPECT_TRUE(t->Probe(base_vpn));
+    EXPECT_TRUE(t->Probe(12ull << kHugeOrder));
+  }
+  EXPECT_EQ(lookup.hits(), rehit.hits());
+  EXPECT_EQ(lookup.misses(), rehit.misses());
+}
+
 TEST(Tlb, ResetCountersKeepsEntries) {
   Tlb tlb(Small(4, 2));
   tlb.Insert(9, PageSize::kBase, 9);

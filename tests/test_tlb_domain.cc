@@ -8,8 +8,8 @@
 //  * A private-vs-HEAD differential at the engine level: an engine that
 //    *owns* its Tlb (the pre-domain construction, still the default) and
 //    an engine borrowing a private-mode domain view must be bit-for-bit
-//    indistinguishable under translation streams, batched translation,
-//    and generation churn.
+//    indistinguishable under translation streams, repeated windows that
+//    re-hit through the per-region memo, and generation churn.
 //  * A machine-level differential reusing the test_access_batch.cc
 //    FNV-digest pattern across the four representative system stacks: on
 //    a private-mode machine with two collocated VMs, access batching must
@@ -157,8 +157,8 @@ TEST(TlbDomain, InvalidateVmCountsEntriesNotFlushes) {
 
 // The pre-domain construction (an engine owning its Tlb) and a private-mode
 // domain view must be indistinguishable: same hits, misses, stale drops,
-// charged cycles, and translation results, under scalar and batched
-// translation with generation churn in between.
+// charged cycles, and translation results, with generation churn in
+// between.
 TEST(TlbDomainDifferential, PrivateViewMatchesOwnedEngine) {
   mmu::PageTable guest_a, ept_a, guest_b, ept_b;
   for (uint64_t r = 0; r < 8; ++r) {
@@ -179,7 +179,6 @@ TEST(TlbDomainDifferential, PrivateViewMatchesOwnedEngine) {
 
   base::Rng rng(13);
   std::vector<uint64_t> vpns(64);
-  std::vector<mmu::TranslateResult> out(64);
   for (int round = 0; round < 100; ++round) {
     for (auto& v : vpns) {
       v = rng.NextBelow(8 * kPagesPerHuge);
@@ -191,9 +190,10 @@ TEST(TlbDomainDifferential, PrivateViewMatchesOwnedEngine) {
       ASSERT_EQ(a.frame, b.frame) << round;
       ASSERT_EQ(a.well_aligned_huge, b.well_aligned_huge) << round;
     }
-    const size_t ok = viewed.TranslateBatch(vpns, out.data());
-    ASSERT_EQ(ok, vpns.size());
+    // A second pass over the same window: regions armed in the engines'
+    // hit memos by the first pass now re-hit through it.
     for (const uint64_t v : vpns) {
+      ASSERT_EQ(viewed.Translate(v).status, mmu::TranslateStatus::kOk);
       ASSERT_EQ(owned.Translate(v).status, mmu::TranslateStatus::kOk);
     }
     // Demote + re-promote a region in place on both sides so stale-stamp
