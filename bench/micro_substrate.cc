@@ -79,7 +79,8 @@ void BM_TlbInsertEvict(benchmark::State& state) {
   mmu::Tlb tlb(mmu::TlbConfig{});
   uint64_t vpn = 0;
   for (auto _ : state) {
-    tlb.Insert(vpn++, base::PageSize::kBase, vpn);
+    const uint64_t page = vpn++;
+    tlb.Insert(page, base::PageSize::kBase, page);
   }
 }
 BENCHMARK(BM_TlbInsertEvict);

@@ -3,8 +3,9 @@
 // CSV/JSON for plotting.
 //
 //   $ ./build/examples/policy_explorer --workload Redis --system Gemini
-//   $ ./build/examples/policy_explorer --workload Canneal --all \
+//   $ ./build/examples/policy_explorer --workload Canneal --all
 //         --frag 0.9 --host-frag 0.95 --ops 200000 --csv results.csv
+//     (one command line, wrapped here)
 //
 // Flags:
 //   --workload NAME   workload from the Table 2 catalogue (default Canneal)

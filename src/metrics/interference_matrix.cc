@@ -97,7 +97,10 @@ std::string RenderInterferenceTriplets(
                std::to_string(row.displaced_by[e]);
       }
       if (top.empty()) {
-        top = "-";
+        // push_back, not `= "-"`: GCC 12 at -O3 reports a false
+        // -Wrestrict on assigning a literal here, which -Werror builds
+        // reject.
+        top.push_back('-');
       }
       table.AddRow({cell_label, row.label, top,
                     std::to_string(Unattributed(row)),

@@ -37,6 +37,8 @@ void PageTable::Grow(uint64_t region) {
     target *= 2;
   }
   route_.resize(target, 0);
+  huge_bits_.resize((target + 63) / 64, 0);
+  base_bits_.resize((target + 63) / 64, 0);
   generations_.resize(target, 0);
   accesses_.resize(target, 0);
 }
@@ -52,7 +54,7 @@ void PageTable::MapBase(uint64_t vpn, uint64_t frame) {
   BaseRegion* br = BaseNode(region);
   if (br == nullptr) {
     br = pool_.Acquire();
-    route_[region] = reinterpret_cast<uint64_t>(br);
+    SetRoute(region, reinterpret_cast<uint64_t>(br));
     ++mapped_regions_;
   }
   SIM_CHECK_MSG(!br->Test(slot), "double map of vpn %llu",
@@ -72,7 +74,7 @@ void PageTable::MapHuge(uint64_t region, uint64_t frame) {
                 static_cast<unsigned long long>(region));
   // Huge leaves live entirely in the route word: no node is allocated, so
   // huge-heavy address spaces cost 8 bytes of hot state per region.
-  route_[region] = (frame << 1) | 1;
+  SetRoute(region, (frame << 1) | 1);
   BumpGeneration(region);
   ++mapped_regions_;
   ++huge_leaves_;
@@ -92,7 +94,7 @@ uint64_t PageTable::UnmapBase(uint64_t vpn) {
   --mapped_base_pages_;
   if (br->None()) {
     pool_.Release(br);
-    route_[region] = 0;
+    SetRoute(region, 0);
     --mapped_regions_;
   }
   return frame;
@@ -102,7 +104,7 @@ uint64_t PageTable::UnmapHuge(uint64_t region) {
   SIM_CHECK(region < route_.size());
   SIM_CHECK(route_[region] & 1);
   const uint64_t frame = route_[region] >> 1;
-  route_[region] = 0;
+  SetRoute(region, 0);
   BumpGeneration(region);
   --mapped_regions_;
   --huge_leaves_;
@@ -135,7 +137,7 @@ void PageTable::PromoteInPlace(uint64_t region) {
   BaseRegion* br = BaseNode(region);
   const uint64_t frame = br->frames[0];
   pool_.Release(br);
-  route_[region] = (frame << 1) | 1;
+  SetRoute(region, (frame << 1) | 1);
   BumpGeneration(region);
   mapped_base_pages_ -= kPagesPerHuge;
   ++huge_leaves_;
@@ -153,7 +155,7 @@ std::vector<std::pair<uint32_t, uint64_t>> PageTable::PromoteWithMigration(
   });
   mapped_base_pages_ -= old_pages.size();
   pool_.Release(br);
-  route_[region] = (new_frame << 1) | 1;
+  SetRoute(region, (new_frame << 1) | 1);
   BumpGeneration(region);
   ++huge_leaves_;
   return old_pages;
@@ -166,7 +168,7 @@ void PageTable::Demote(uint64_t region) {
   SIM_CHECK(frame + kPagesPerHuge <= kAbsentFrame);  // must fit 32-bit cells
   BaseRegion* node = pool_.Acquire();
   FillContiguous(node, frame);
-  route_[region] = reinterpret_cast<uint64_t>(node);
+  SetRoute(region, reinterpret_cast<uint64_t>(node));
   BumpGeneration(region);
   --huge_leaves_;
   mapped_base_pages_ += kPagesPerHuge;
@@ -189,43 +191,6 @@ std::optional<uint64_t> PageTable::BaseFrame(uint64_t region,
 void PageTable::DecayAccessCounts() {
   for (uint64_t& a : accesses_) {
     a >>= 1;
-  }
-}
-
-void PageTable::ForEachHuge(
-    const std::function<void(uint64_t, uint64_t)>& fn) const {
-  for (uint64_t region = 0; region < route_.size(); ++region) {
-    if (route_[region] & 1) {
-      fn(region, route_[region] >> 1);
-    }
-  }
-}
-
-void PageTable::ForEachBaseRegion(
-    const std::function<void(uint64_t, uint32_t)>& fn) const {
-  for (uint64_t region = 0; region < route_.size(); ++region) {
-    const uint64_t route = route_[region];
-    if (route != 0 && (route & 1) == 0) {
-      fn(region, reinterpret_cast<const BaseRegion*>(route)->Count());
-    }
-  }
-}
-
-void PageTable::ForEachBasePage(
-    uint64_t region,
-    const std::function<void(uint32_t, uint64_t)>& fn) const {
-  const BaseRegion* br = BaseNode(region);
-  if (br == nullptr) {
-    return;
-  }
-  for (uint32_t w = 0; w < br->present.size(); ++w) {
-    uint64_t word = br->present[w];
-    while (word != 0) {
-      const uint32_t slot =
-          w * 64 + static_cast<uint32_t>(__builtin_ctzll(word));
-      fn(slot, br->frames[slot]);
-      word &= word - 1;  // clear lowest set bit
-    }
   }
 }
 
@@ -299,8 +264,18 @@ void PageTable::CheckInvariants() const {
   uint64_t bases = 0;
   uint64_t huges = 0;
   uint64_t mapped = 0;
+  SIM_CHECK(huge_bits_.size() == (route_.size() + 63) / 64);
+  SIM_CHECK(base_bits_.size() == huge_bits_.size());
   for (uint64_t region = 0; region < route_.size(); ++region) {
     const uint64_t route = route_[region];
+    // Occupancy bitmaps mirror the route word's class exactly, and the
+    // sweeps' word range covers every mapped region.
+    const uint64_t w = region >> 6;
+    const bool huge_bit = (huge_bits_[w] >> (region & 63)) & 1;
+    const bool base_bit = (base_bits_[w] >> (region & 63)) & 1;
+    SIM_CHECK(huge_bit == ((route & 1) != 0));
+    SIM_CHECK(base_bit == (route != 0 && (route & 1) == 0));
+    SIM_CHECK(route == 0 || (w >= scan_lo_ && w < scan_hi_));
     if (route & 1) {
       SIM_CHECK((route >> 1) % kPagesPerHuge == 0);
       ++huges;

@@ -40,9 +40,15 @@
 // kept, as 8 uint64_t words per node, for the word-at-a-time sweeps the
 // promotion scans use (count/all/none, find-first, missing-slot
 // enumeration); map/unmap keep word and sentinel in sync and
-// CheckInvariants verifies they agree.  Generation and access counters
-// live in parallel dense vectors (structure-of-arrays): the miss path
-// touches them once each, and the decay sweep becomes a contiguous
+// CheckInvariants verifies they agree.  Two region-level *occupancy
+// bitmaps* mirror the route vector, one bit per region: one marks huge
+// leaves, the other base-mapped regions.  Every route transition goes
+// through SetRoute, which keeps bit == route-word class; the daemon
+// sweeps (ForEachHuge / ForEachBaseRegion) are ctz scans over them, so a
+// sweep costs O(mapped regions) instead of O(address space) — the guest
+// VA space alone starts 2048 empty regions up.  Generation and access
+// counters live in parallel dense vectors (structure-of-arrays): the miss
+// path touches them once each, and the decay sweep becomes a contiguous
 // vectorizable loop.
 //
 // Each region carries a *generation counter*, bumped by every mapping
@@ -61,9 +67,9 @@
 #ifndef SRC_MMU_PAGE_TABLE_H_
 #define SRC_MMU_PAGE_TABLE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -225,17 +231,20 @@ class PageTable {
   void DecayAccessCounts();  // halves all counters (aging)
 
   // --- Iteration / sweeps --------------------------------------------------
+  //
+  // The visitors take any callable and are inlined into the caller.  They
+  // visit in ascending order.  The callback must not mutate the table.
 
   // Visits every huge leaf as (region, frame).
-  void ForEachHuge(const std::function<void(uint64_t, uint64_t)>& fn) const;
+  template <typename Fn>
+  void ForEachHuge(Fn&& fn) const;
   // Visits every region that has at least one base mapping as
   // (region, present_count).
-  void ForEachBaseRegion(
-      const std::function<void(uint64_t, uint32_t)>& fn) const;
+  template <typename Fn>
+  void ForEachBaseRegion(Fn&& fn) const;
   // Visits every present base page in a region as (slot, frame), ascending.
-  void ForEachBasePage(
-      uint64_t region,
-      const std::function<void(uint32_t, uint64_t)>& fn) const;
+  template <typename Fn>
+  void ForEachBasePage(uint64_t region, Fn&& fn) const;
 
   // Word-at-a-time sweep primitives for the promotion scans (ctz/popcount
   // over the present words instead of per-slot probes):
@@ -371,6 +380,32 @@ class PageTable {
     }
   }
   void Grow(uint64_t region);
+  // The one writer of route_[region]: also files the region in the
+  // occupancy bitmap its new route class belongs to.
+  void SetRoute(uint64_t region, uint64_t route) {
+    route_[region] = route;
+    const uint64_t w = region >> 6;
+    const uint64_t bit = 1ull << (region & 63);
+    const bool huge = (route & 1) != 0;
+    const bool base = route != 0 && !huge;
+    huge_bits_[w] = (huge_bits_[w] & ~bit) | (huge ? bit : 0);
+    base_bits_[w] = (base_bits_[w] & ~bit) | (base ? bit : 0);
+    if (route != 0) {
+      scan_lo_ = std::min(scan_lo_, w);
+      scan_hi_ = std::max(scan_hi_, w + 1);
+    }
+  }
+  // Calls fn(region) for every set bit of `bits` in ascending order.
+  template <typename Fn>
+  void ScanBits(const std::vector<uint64_t>& bits, Fn&& fn) const {
+    for (uint64_t w = scan_lo_; w < scan_hi_; ++w) {
+      uint64_t word = bits[w];
+      while (word != 0) {
+        fn(w * 64 + static_cast<uint64_t>(__builtin_ctzll(word)));
+        word &= word - 1;  // clear lowest set bit
+      }
+    }
+  }
   void BumpGeneration(uint64_t region) {
     ++generations_[region];
     ++mutations_;
@@ -382,6 +417,14 @@ class PageTable {
   // aligned, so the tag is free and pointers round-trip through the
   // shift-free representation).
   std::vector<uint64_t> route_;
+  // Occupancy bitmaps, bit r of word r / 64 for region r (see file
+  // comment): huge_bits_ <=> route has bit 0 set, base_bits_ <=> route is
+  // a node pointer.  [scan_lo_, scan_hi_) is the grow-only word range that
+  // has ever held a mapping; no bit is set outside it.
+  std::vector<uint64_t> huge_bits_;
+  std::vector<uint64_t> base_bits_;
+  uint64_t scan_lo_ = ~0ull;
+  uint64_t scan_hi_ = 0;
   std::vector<uint64_t> generations_;
   std::vector<uint64_t> accesses_;
   NodePool pool_;
@@ -390,6 +433,36 @@ class PageTable {
   uint64_t mapped_regions_ = 0;  // regions with any mapping
   uint64_t mutations_ = 0;       // sum of all generation bumps
 };
+
+template <typename Fn>
+void PageTable::ForEachHuge(Fn&& fn) const {
+  ScanBits(huge_bits_,
+           [&](uint64_t region) { fn(region, route_[region] >> 1); });
+}
+
+template <typename Fn>
+void PageTable::ForEachBaseRegion(Fn&& fn) const {
+  ScanBits(base_bits_, [&](uint64_t region) {
+    fn(region, reinterpret_cast<const BaseRegion*>(route_[region])->Count());
+  });
+}
+
+template <typename Fn>
+void PageTable::ForEachBasePage(uint64_t region, Fn&& fn) const {
+  const BaseRegion* br = BaseNode(region);
+  if (br == nullptr) {
+    return;
+  }
+  for (uint32_t w = 0; w < br->present.size(); ++w) {
+    uint64_t word = br->present[w];
+    while (word != 0) {
+      const uint32_t slot =
+          w * 64 + static_cast<uint32_t>(__builtin_ctzll(word));
+      fn(slot, static_cast<uint64_t>(br->frames[slot]));
+      word &= word - 1;  // clear lowest set bit
+    }
+  }
+}
 
 }  // namespace mmu
 

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "base/rng.h"
 #include "base/types.h"
@@ -185,12 +189,15 @@ TEST(PageTable, ForEachHugeVisitsAll) {
   table.MapHuge(1, 512);
   table.MapHuge(4, 2048);
   table.MapBase(0, 3);
-  std::set<uint64_t> regions;
+  table.MapHuge(70, 8192);  // past the first bitmap word
+  std::vector<uint64_t> regions;
   table.ForEachHuge([&](uint64_t region, uint64_t frame) {
-    regions.insert(region);
+    regions.push_back(region);
     EXPECT_EQ(frame % kPagesPerHuge, 0u);
   });
-  EXPECT_EQ(regions, (std::set<uint64_t>{1, 4}));
+  // Ascending region order is part of the contract (daemons charge and
+  // break ties in visit order).
+  EXPECT_EQ(regions, (std::vector<uint64_t>{1, 4, 70}));
 }
 
 TEST(PageTable, ForEachBaseRegionReportsCounts) {
@@ -204,6 +211,145 @@ TEST(PageTable, ForEachBaseRegionReportsCounts) {
   EXPECT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], 2u);
   EXPECT_EQ(seen[1], 1u);
+}
+
+// Brute-force oracle for the occupancy-indexed sweeps: classifies each
+// candidate region through Lookup alone, in ascending order.
+struct SweepOracle {
+  std::vector<std::pair<uint64_t, uint64_t>> huge;   // (region, frame)
+  std::vector<std::pair<uint64_t, uint32_t>> base;   // (region, present)
+};
+
+SweepOracle OracleScan(const PageTable& table,
+                       const std::vector<uint64_t>& regions) {
+  SweepOracle out;
+  for (const uint64_t region : regions) {
+    const uint64_t vpn0 = region << kHugeOrder;
+    const auto first = table.Lookup(vpn0);
+    if (first.has_value() && first->size == PageSize::kHuge) {
+      out.huge.emplace_back(region, first->frame);
+      continue;
+    }
+    uint32_t present = 0;
+    for (uint64_t slot = 0; slot < kPagesPerHuge; ++slot) {
+      present += table.Lookup(vpn0 + slot).has_value() ? 1 : 0;
+    }
+    if (present > 0) {
+      out.base.emplace_back(region, present);
+    }
+  }
+  return out;
+}
+
+TEST(PageTable, OccupancyScansMatchRouteScan) {
+  // Regions straddling bitmap-word edges (63/64), the guest VA base
+  // (2047-2049) and Grow doublings (4095/4096, 8191/8192).
+  const std::vector<uint64_t> regions = {0,    1,    63,   64,   65,
+                                         2047, 2048, 2049, 4095, 4096,
+                                         4097, 8191, 8192};
+  // Transitions that took effect, per mutation kind (switch case below).
+  std::array<int, 7> applied{};
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    base::Rng rng(seed);
+    PageTable table;
+    // Distinct huge-aligned frame blocks per region keep every mapping
+    // identifiable; one MapBase draw in four scatters its frame to defeat
+    // in-place promotion.
+    auto anchor = [](uint64_t region) { return (region + 3) * kPagesPerHuge; };
+    auto map_missing = [&](uint64_t region) {
+      for (uint64_t slot = 0; slot < kPagesPerHuge; ++slot) {
+        const uint64_t vpn = (region << kHugeOrder) + slot;
+        if (!table.Lookup(vpn).has_value()) {
+          table.MapBase(vpn, anchor(region) + slot);
+        }
+      }
+    };
+    for (int step = 0; step < 160; ++step) {
+      const uint64_t region = regions[rng.NextBelow(regions.size())];
+      const uint64_t vpn0 = region << kHugeOrder;
+      const bool huge = table.IsHugeMapped(region);
+      const uint32_t present = table.PresentBasePages(region);
+      const uint64_t mutations = table.mutations();
+      const uint64_t op = rng.NextBelow(applied.size());
+      switch (op) {
+        case 0: {  // MapBase: a few pages, mostly anchor-contiguous
+          if (huge) {
+            break;
+          }
+          for (int n = 0; n < 4; ++n) {
+            const uint32_t slot =
+                static_cast<uint32_t>(rng.NextBelow(kPagesPerHuge));
+            if (table.Lookup(vpn0 + slot).has_value()) {
+              continue;
+            }
+            const uint64_t frame = rng.NextBelow(4) == 0
+                                       ? 1'000'000 + rng.NextBelow(1 << 20)
+                                       : anchor(region) + slot;
+            table.MapBase(vpn0 + slot, frame);
+          }
+          break;
+        }
+        case 1:  // MapHuge
+          if (!huge && present == 0) {
+            table.MapHuge(region, anchor(region));
+          }
+          break;
+        case 2: {  // UnmapBase: drop a few present pages, maybe the last
+          std::vector<uint32_t> slots;
+          table.ForEachBasePage(region, [&](uint32_t slot, uint64_t) {
+            slots.push_back(slot);
+          });
+          const size_t drop = rng.NextBelow(2) == 0 ? slots.size()
+                                                    : std::min<size_t>(
+                                                          slots.size(), 3);
+          for (size_t i = 0; i < drop; ++i) {
+            table.UnmapBase(vpn0 + slots[i]);
+          }
+          break;
+        }
+        case 3:  // UnmapHuge
+          if (huge) {
+            EXPECT_EQ(table.UnmapHuge(region), anchor(region));
+          }
+          break;
+        case 4:  // PromoteInPlace, filling an empty or contiguous region
+          if (!huge && (present == 0 ||
+                        table.ContiguousAnchor(region) == anchor(region))) {
+            map_missing(region);
+            ASSERT_TRUE(table.CanPromoteInPlace(region));
+            table.PromoteInPlace(region);
+          }
+          break;
+        case 5:  // PromoteWithMigration
+          if (present > 0) {
+            table.PromoteWithMigration(region, anchor(region));
+          }
+          break;
+        case 6:  // Demote
+          if (huge) {
+            table.Demote(region);
+          }
+          break;
+      }
+
+      applied[op] += table.mutations() != mutations ? 1 : 0;
+
+      const SweepOracle want = OracleScan(table, regions);
+      SweepOracle got;
+      table.ForEachHuge([&](uint64_t r, uint64_t frame) {
+        got.huge.emplace_back(r, frame);
+      });
+      table.ForEachBaseRegion([&](uint64_t r, uint32_t count) {
+        got.base.emplace_back(r, count);
+      });
+      ASSERT_EQ(got.huge, want.huge) << "seed " << seed << " step " << step;
+      ASSERT_EQ(got.base, want.base) << "seed " << seed << " step " << step;
+      table.CheckInvariants();
+    }
+  }
+  for (size_t op = 0; op < applied.size(); ++op) {
+    EXPECT_GT(applied[op], 0) << "mutation kind " << op << " never ran";
+  }
 }
 
 TEST(PageTable, BaseFrameQueries) {
