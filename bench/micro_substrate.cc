@@ -13,6 +13,8 @@
 #include "mmu/translation_engine.h"
 #include "vmem/buddy_allocator.h"
 #include "vmem/contiguity_list.h"
+#include "vmem/fragmenter.h"
+#include "vmem/frame_space.h"
 
 namespace {
 
@@ -61,6 +63,27 @@ void BM_BuddyFmfi(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuddyFmfi);
+
+// A host-sized frame space fragmented like a paper-figure testbed (FMFI 0.9
+// at the huge order), with seeded block selection: every order has a long
+// free list, unlike the pristine allocators above.
+constexpr uint64_t kFragmentedFrames = 400000;
+
+void FragmentHost(vmem::BuddyAllocator* buddy, vmem::FrameSpace* frames) {
+  vmem::Fragmenter(buddy, frames, /*seed=*/6).FragmentToTarget(0.9);
+}
+
+void BM_BuddyFragmentedAllocFree(benchmark::State& state) {
+  vmem::BuddyAllocator buddy(kFragmentedFrames, /*selection_seed=*/5);
+  vmem::FrameSpace frames(kFragmentedFrames);
+  FragmentHost(&buddy, &frames);
+  for (auto _ : state) {
+    const uint64_t f = buddy.Allocate(0);
+    benchmark::DoNotOptimize(f);
+    buddy.Free(f, 1);
+  }
+}
+BENCHMARK(BM_BuddyFragmentedAllocFree);
 
 void BM_TlbLookupHit(benchmark::State& state) {
   mmu::Tlb tlb(mmu::TlbConfig{});
@@ -154,5 +177,19 @@ void BM_ContiguityRefresh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ContiguityRefresh);
+
+void BM_ContiguityRefreshFragmented(benchmark::State& state) {
+  vmem::BuddyAllocator buddy(kFragmentedFrames, /*selection_seed=*/5);
+  vmem::FrameSpace frames(kFragmentedFrames);
+  FragmentHost(&buddy, &frames);
+  vmem::ContiguityList list(&buddy);
+  for (auto _ : state) {
+    const uint64_t f = buddy.Allocate(0);
+    buddy.Free(f, 1);
+    list.Refresh();
+    benchmark::DoNotOptimize(list.extent_count());
+  }
+}
+BENCHMARK(BM_ContiguityRefreshFragmented);
 
 }  // namespace

@@ -8,32 +8,137 @@ namespace vmem {
 
 using base::kMaxOrder;
 
+namespace {
+
+// Calls op(word_index, mask) for each word of a bitmap that bits [lo, hi)
+// touch, with `mask` selecting the range's bits in that word.  hi > lo.
+template <typename Op>
+void ForRangeWords(uint64_t lo, uint64_t hi, Op&& op) {
+  const uint64_t last = (hi - 1) >> 6;
+  uint64_t mask = ~0ull << (lo & 63);
+  for (uint64_t w = lo >> 6; w < last; ++w) {
+    op(w, mask);
+    mask = ~0ull;
+  }
+  op(last, mask & (~0ull >> (63 - ((hi - 1) & 63))));
+}
+
+// True if every bit of [lo, hi) is set in `map`.
+bool AllSet(const std::vector<uint64_t>& map, uint64_t lo, uint64_t hi) {
+  bool all = true;
+  ForRangeWords(lo, hi, [&](uint64_t w, uint64_t mask) {
+    all = all && (map[w] & mask) == mask;
+  });
+  return all;
+}
+
+// True if any bit of [lo, hi) is set in `map`.
+bool AnySet(const std::vector<uint64_t>& map, uint64_t lo, uint64_t hi) {
+  bool any = false;
+  ForRangeWords(lo, hi, [&](uint64_t w, uint64_t mask) {
+    any = any || (map[w] & mask) != 0;
+  });
+  return any;
+}
+
+uint64_t WordsFor(uint64_t bits) { return (bits + 63) / 64; }
+
+}  // namespace
+
 BuddyAllocator::BuddyAllocator(uint64_t frame_count, uint64_t selection_seed)
     : frame_count_(frame_count),
       randomize_(selection_seed != 0),
       rng_(selection_seed == 0 ? 1 : selection_seed) {
   SIM_CHECK(frame_count > 0);
+  for (int o = 0; o < kMaxOrder; ++o) {
+    heads_[o].assign(WordsFor(frame_count >> o), 0);
+    summary_[o].assign(WordsFor(heads_[o].size()), 0);
+    summary_low_[o] = summary_[o].size();
+  }
+  free_map_.assign(WordsFor(frame_count), 0);
   InsertFreeRange(0, frame_count);
 }
 
 void BuddyAllocator::InsertFreeBlock(uint64_t head, int order) {
   SIM_CHECK(order >= 0 && order < kMaxOrder);
-  auto [it, inserted] = free_blocks_.emplace(head, order);
-  SIM_CHECK(inserted);
-  (void)it;
-  free_lists_[order].insert(head);
-  free_frames_ += 1ull << order;
+  const uint64_t size = 1ull << order;
+  SIM_CHECK(head % size == 0 && InRange(head, size));
+  // Mark the frames free, checking that none of them already was.
+  uint64_t already_free = 0;
+  ForRangeWords(head, head + size, [&](uint64_t w, uint64_t mask) {
+    already_free |= free_map_[w] & mask;
+    free_map_[w] |= mask;
+  });
+  SIM_CHECK_MSG(already_free == 0,
+                "block at %llu order %d overlaps free frames",
+                static_cast<unsigned long long>(head), order);
+  const uint64_t bit = head >> order;
+  const uint64_t word = bit >> 6;
+  if (heads_[order][word] == 0) {
+    summary_[order][word >> 6] |= 1ull << (word & 63);
+    summary_low_[order] = std::min<size_t>(summary_low_[order], word >> 6);
+  }
+  heads_[order][word] |= 1ull << (bit & 63);
+  ++counts_[order];
+  free_frames_ += size;
   ++mutation_epoch_;
 }
 
 void BuddyAllocator::RemoveFreeBlock(uint64_t head, int order) {
-  auto it = free_blocks_.find(head);
-  SIM_CHECK(it != free_blocks_.end() && it->second == order);
-  free_blocks_.erase(it);
-  const size_t erased = free_lists_[order].erase(head);
-  SIM_CHECK(erased == 1);
-  free_frames_ -= 1ull << order;
+  SIM_CHECK(order >= 0 && order < kMaxOrder);
+  const uint64_t size = 1ull << order;
+  SIM_CHECK(head % size == 0 && InRange(head, size) && IsHead(head, order));
+  const uint64_t bit = head >> order;
+  const uint64_t word = bit >> 6;
+  heads_[order][word] &= ~(1ull << (bit & 63));
+  if (heads_[order][word] == 0) {
+    summary_[order][word >> 6] &= ~(1ull << (word & 63));
+  }
+  --counts_[order];
+  ForRangeWords(head, head + size,
+                [&](uint64_t w, uint64_t mask) { free_map_[w] &= ~mask; });
+  free_frames_ -= size;
   ++mutation_epoch_;
+}
+
+uint64_t BuddyAllocator::SelectHead(int order, uint64_t k) {
+  const std::vector<uint64_t>& summary = summary_[order];
+  const std::vector<uint64_t>& heads = heads_[order];
+  size_t s = summary_low_[order];
+  while (s < summary.size() && summary[s] == 0) {
+    ++s;
+  }
+  summary_low_[order] = s;
+  for (; s < summary.size(); ++s) {
+    for (uint64_t sw = summary[s]; sw != 0; sw &= sw - 1) {
+      const uint64_t w = s * 64 + static_cast<uint64_t>(__builtin_ctzll(sw));
+      uint64_t hw = heads[w];
+      const uint64_t in_word = static_cast<uint64_t>(__builtin_popcountll(hw));
+      if (k < in_word) {
+        for (; k > 0; --k) {
+          hw &= hw - 1;
+        }
+        return (w * 64 + static_cast<uint64_t>(__builtin_ctzll(hw))) << order;
+      }
+      k -= in_word;
+    }
+  }
+  SIM_CHECK_MSG(false, "order %d has fewer free blocks than counted", order);
+  return kInvalidFrame;
+}
+
+uint64_t BuddyAllocator::BlockContaining(uint64_t frame, int* order) const {
+  for (int o = 0; o < kMaxOrder; ++o) {
+    const uint64_t size = 1ull << o;
+    const uint64_t head = frame & ~(size - 1);
+    if (InRange(head, size) && IsHead(head, o)) {
+      *order = o;
+      return head;
+    }
+  }
+  SIM_CHECK_MSG(false, "free frame %llu is in no free block",
+                static_cast<unsigned long long>(frame));
+  return kInvalidFrame;
 }
 
 void BuddyAllocator::FreeBlock(uint64_t head, int order) {
@@ -42,11 +147,7 @@ void BuddyAllocator::FreeBlock(uint64_t head, int order) {
   while (order < kMaxOrder - 1) {
     const uint64_t size = 1ull << order;
     const uint64_t buddy = head ^ size;
-    if (buddy + size > frame_count_) {
-      break;
-    }
-    auto it = free_blocks_.find(buddy);
-    if (it == free_blocks_.end() || it->second != order) {
+    if (buddy + size > frame_count_ || !IsHead(buddy, order)) {
       break;
     }
     RemoveFreeBlock(buddy, order);
@@ -63,13 +164,7 @@ void BuddyAllocator::FreeBlock(uint64_t head, int order) {
 
 void BuddyAllocator::InsertFreeRange(uint64_t lo, uint64_t hi) {
   while (lo < hi) {
-    // Largest naturally-aligned block that starts at lo and fits.
-    int order = lo == 0 ? kMaxOrder - 1
-                        : static_cast<int>(__builtin_ctzll(lo));
-    order = std::min(order, kMaxOrder - 1);
-    while ((1ull << order) > hi - lo) {
-      --order;
-    }
+    const int order = MaxBlockOrder(lo, hi - lo);
     FreeBlock(lo, order);
     lo += 1ull << order;
   }
@@ -80,7 +175,7 @@ uint64_t BuddyAllocator::Allocate(int order) {
   // Find the lowest-addressed block among the smallest sufficient orders.
   int found = -1;
   for (int o = order; o < kMaxOrder; ++o) {
-    if (!free_lists_[o].empty()) {
+    if (counts_[o] > 0) {
       found = o;
       break;
     }
@@ -88,16 +183,14 @@ uint64_t BuddyAllocator::Allocate(int order) {
   if (found < 0) {
     return kInvalidFrame;
   }
-  auto it = free_lists_[found].begin();
+  uint64_t pick = 0;
   if (randomize_) {
     // Bounded random choice among the lowest few candidates: enough entropy
     // to decorrelate physical reuse, cheap to compute.
-    constexpr size_t kChoiceWindow = 16;
-    const size_t window =
-        std::min<size_t>(kChoiceWindow, free_lists_[found].size());
-    std::advance(it, static_cast<size_t>(rng_.NextBelow(window)));
+    constexpr uint64_t kChoiceWindow = 16;
+    pick = rng_.NextBelow(std::min(kChoiceWindow, counts_[found]));
   }
-  const uint64_t head = *it;
+  const uint64_t head = SelectHead(found, pick);
   RemoveFreeBlock(head, found);
   // Split down to the requested order, returning the low half each time and
   // freeing the high half (Linux splits the same way).
@@ -116,28 +209,7 @@ bool BuddyAllocator::IsRangeFree(uint64_t frame, uint64_t count) const {
   if (count == 0) {
     return true;
   }
-  if (frame + count > frame_count_) {
-    return false;
-  }
-  uint64_t cursor = frame;
-  const uint64_t end = frame + count;
-  while (cursor < end) {
-    auto it = free_blocks_.upper_bound(cursor);
-    if (it == free_blocks_.begin()) {
-      return false;
-    }
-    --it;
-    const uint64_t block_end = it->first + (1ull << it->second);
-    if (block_end <= cursor) {
-      return false;
-    }
-    cursor = block_end;
-  }
-  return true;
-}
-
-bool BuddyAllocator::IsFrameFree(uint64_t frame) const {
-  return IsRangeFree(frame, 1);
+  return InRange(frame, count) && AllSet(free_map_, frame, frame + count);
 }
 
 bool BuddyAllocator::AllocateAt(uint64_t frame, uint64_t count) {
@@ -151,11 +223,8 @@ bool BuddyAllocator::AllocateAt(uint64_t frame, uint64_t count) {
   // Remove every free block overlapping the range, keeping the slack.
   uint64_t cursor = frame;
   while (cursor < end) {
-    auto it = free_blocks_.upper_bound(cursor);
-    SIM_CHECK(it != free_blocks_.begin());
-    --it;
-    const uint64_t head = it->first;
-    const int order = it->second;
+    int order = 0;
+    const uint64_t head = BlockContaining(cursor, &order);
     const uint64_t block_end = head + (1ull << order);
     RemoveFreeBlock(head, order);
     if (head < frame) {
@@ -174,32 +243,21 @@ bool BuddyAllocator::AllocateAt(uint64_t frame, uint64_t count) {
 }
 
 void BuddyAllocator::Free(uint64_t frame, uint64_t count) {
-  SIM_CHECK(frame + count <= frame_count_);
-  SIM_CHECK_MSG(!Intersected(frame, count), "double free of frame %llu",
+  SIM_CHECK(InRange(frame, count));
+  SIM_CHECK_MSG(count == 0 || !AnySet(free_map_, frame, frame + count),
+                "double free of frame %llu",
                 static_cast<unsigned long long>(frame));
   InsertFreeRange(frame, frame + count);
 }
 
-bool BuddyAllocator::Intersected(uint64_t frame, uint64_t count) const {
-  // True if any frame in the range is already free.
-  auto it = free_blocks_.upper_bound(frame);
-  if (it != free_blocks_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + (1ull << prev->second) > frame) {
-      return true;
-    }
-  }
-  return it != free_blocks_.end() && it->first < frame + count;
-}
-
 uint64_t BuddyAllocator::FreeBlocksOfOrder(int order) const {
   SIM_CHECK(order >= 0 && order < kMaxOrder);
-  return free_lists_[order].size();
+  return counts_[order];
 }
 
 int BuddyAllocator::LargestFreeOrder() const {
   for (int o = kMaxOrder - 1; o >= 0; --o) {
-    if (!free_lists_[o].empty()) {
+    if (counts_[o] > 0) {
       return o;
     }
   }
@@ -210,7 +268,7 @@ uint64_t BuddyAllocator::BlocksAvailable(int order) const {
   SIM_CHECK(order >= 0 && order < kMaxOrder);
   uint64_t blocks = 0;
   for (int o = order; o < kMaxOrder; ++o) {
-    blocks += free_lists_[o].size() << (o - order);
+    blocks += counts_[o] << (o - order);
   }
   return blocks;
 }
@@ -222,43 +280,67 @@ double BuddyAllocator::Fmfi(int order) const {
   }
   uint64_t usable = 0;
   for (int o = order; o < kMaxOrder; ++o) {
-    usable += free_lists_[o].size() << o;
+    usable += counts_[o] << o;
   }
   return 1.0 - static_cast<double>(usable) / static_cast<double>(free_frames_);
 }
 
 void BuddyAllocator::CheckInvariants() const {
+  SIM_CHECK(free_map_.size() == WordsFor(frame_count_));
+  // Frames covered by some free block; must end up equal to free_map_.
+  std::vector<uint64_t> covered(free_map_.size(), 0);
   uint64_t total = 0;
-  uint64_t prev_end = 0;
-  bool first = true;
-  for (const auto& [head, order] : free_blocks_) {
-    SIM_CHECK(order >= 0 && order < kMaxOrder);
-    const uint64_t size = 1ull << order;
-    SIM_CHECK_MSG(head % size == 0, "misaligned free block head=%llu order=%d",
-                  static_cast<unsigned long long>(head), order);
-    SIM_CHECK(head + size <= frame_count_);
-    if (!first) {
-      SIM_CHECK(head >= prev_end);  // disjoint
-    }
-    // No unmerged buddy pairs.
-    const uint64_t buddy = head ^ size;
-    if (order < kMaxOrder - 1 && buddy + size <= frame_count_) {
-      auto it = free_blocks_.find(buddy);
-      SIM_CHECK_MSG(it == free_blocks_.end() || it->second != order,
-                    "unmerged buddies at %llu order %d",
-                    static_cast<unsigned long long>(head), order);
-    }
-    SIM_CHECK(free_lists_[order].count(head) == 1);
-    total += size;
-    prev_end = head + size;
-    first = false;
-  }
-  SIM_CHECK(total == free_frames_);
-  uint64_t list_total = 0;
+  uint64_t blocks = 0;
   for (int o = 0; o < kMaxOrder; ++o) {
-    list_total += free_lists_[o].size() << o;
+    const std::vector<uint64_t>& heads = heads_[o];
+    const std::vector<uint64_t>& summary = summary_[o];
+    SIM_CHECK(heads.size() == WordsFor(frame_count_ >> o));
+    SIM_CHECK(summary.size() == WordsFor(heads.size()));
+    uint64_t count = 0;
+    for (size_t w = 0; w < heads.size(); ++w) {
+      const bool nonzero = heads[w] != 0;
+      SIM_CHECK_MSG(((summary[w >> 6] >> (w & 63)) & 1) == nonzero,
+                    "summary bit of order %d word %zu is stale", o, w);
+      SIM_CHECK(!nonzero || summary_low_[o] <= (w >> 6));
+      for (uint64_t bits = heads[w]; bits != 0; bits &= bits - 1) {
+        const uint64_t head =
+            (w * 64 + static_cast<uint64_t>(__builtin_ctzll(bits))) << o;
+        const uint64_t size = 1ull << o;
+        SIM_CHECK_MSG(InRange(head, size), "free block head=%llu order=%d "
+                      "past the frame space",
+                      static_cast<unsigned long long>(head), o);
+        SIM_CHECK_MSG(AllSet(free_map_, head, head + size),
+                      "free block head=%llu order=%d has allocated frames",
+                      static_cast<unsigned long long>(head), o);
+        SIM_CHECK_MSG(!AnySet(covered, head, head + size),
+                      "free blocks overlap at head=%llu order=%d",
+                      static_cast<unsigned long long>(head), o);
+        ForRangeWords(head, head + size,
+                      [&](uint64_t cw, uint64_t mask) { covered[cw] |= mask; });
+        // No unmerged buddy pairs.
+        const uint64_t buddy = head ^ size;
+        SIM_CHECK_MSG(o == kMaxOrder - 1 || !InRange(buddy, size) ||
+                          !IsHead(buddy, o),
+                      "unmerged buddies at %llu order %d",
+                      static_cast<unsigned long long>(head), o);
+        ++count;
+        total += size;
+      }
+    }
+    SIM_CHECK_MSG(count == counts_[o], "order %d counts %llu blocks, has %llu",
+                  o, static_cast<unsigned long long>(counts_[o]),
+                  static_cast<unsigned long long>(count));
+    blocks += count;
   }
-  SIM_CHECK(list_total == free_frames_);
+  SIM_CHECK_MSG(covered == free_map_, "free blocks do not tile the free map");
+  SIM_CHECK(total == free_frames_);
+  // The block walk reads blocks off free_map_; it must name the same ones.
+  uint64_t walked = 0;
+  ForEachFreeBlock([&](uint64_t head, int order) {
+    SIM_CHECK(IsHead(head, order));
+    ++walked;
+  });
+  SIM_CHECK(walked == blocks);
 }
 
 }  // namespace vmem

@@ -1,7 +1,7 @@
 // Binary buddy allocator modeled on the Linux page allocator.
 //
-// Free memory is kept in per-order free lists, order 0 (one 4 KiB frame) to
-// order kMaxOrder-1 (1024 frames = 4 MiB), mirroring Linux MAX_ORDER = 11.
+// Free memory is kept as blocks of order 0 (one 4 KiB frame) to order
+// kMaxOrder-1 (1024 frames = 4 MiB), mirroring Linux MAX_ORDER = 11.
 // Allocation splits the smallest sufficient block; freeing merges buddies
 // greedily.  Two features go beyond the textbook allocator because Gemini
 // needs them:
@@ -14,15 +14,30 @@
 //    Gemini's booking-timeout controller (Algorithm 1) and preallocation
 //    gate.
 //
-// The allocator also exposes its free map so the Gemini contiguity list can
-// enumerate maximal free extents.
+// The free map is held in bitmaps, not trees (DESIGN.md "Bitmap buddy"):
+//
+//  * heads_[o]: bit i set iff the order-o block at frame i << o is free.
+//    It has one bit per order-o block that lies wholly inside the frame
+//    space.  summary_[o] has bit j set iff word j of heads_[o] is nonzero,
+//    so the lowest free block of an order is found with two ctz steps,
+//    starting from summary_low_[o] (all summary words below it are zero).
+//    counts_[o] is the number of set bits in heads_[o].
+//  * free_map_: bit f set iff frame f is free.  Bits past frame_count_
+//    stay clear.
+//
+// Invariants (CheckInvariants): the free blocks named by heads_ are
+// disjoint and tile free_map_ exactly; no two free blocks are unmerged
+// buddies; counts_, summary_ and summary_low_ agree with heads_; the blocks
+// total free_frames_.  Because of the buddy invariant, every maximal run of free
+// frames is split into blocks the same greedy way InsertFreeRange splits a
+// range, so ForEachFreeBlock reads blocks straight off free_map_.
 #ifndef SRC_VMEM_BUDDY_ALLOCATOR_H_
 #define SRC_VMEM_BUDDY_ALLOCATOR_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <vector>
 
 #include "base/rng.h"
 #include "base/types.h"
@@ -49,18 +64,23 @@ class BuddyAllocator {
   uint64_t Allocate(int order);
 
   // Allocates the exact range [frame, frame + count).  Succeeds only if the
-  // whole range is currently free.  The range need not be aligned or a
-  // power of two; surrounding free space is re-split into maximal blocks.
+  // whole range is currently free and inside the frame space.  The range
+  // need not be aligned or a power of two; surrounding free space is
+  // re-split into maximal blocks.
   bool AllocateAt(uint64_t frame, uint64_t count);
 
-  // True if the whole range [frame, frame + count) is free.
+  // True if the whole range [frame, frame + count) is inside the frame
+  // space and free.
   bool IsRangeFree(uint64_t frame, uint64_t count) const;
 
   // Frees the range [frame, frame + count), merging buddies.  The range
-  // must be entirely allocated.
+  // must lie inside the frame space and be entirely allocated.
   void Free(uint64_t frame, uint64_t count);
 
-  bool IsFrameFree(uint64_t frame) const;
+  bool IsFrameFree(uint64_t frame) const {
+    return frame < frame_count_ &&
+           ((free_map_[frame >> 6] >> (frame & 63)) & 1) != 0;
+  }
 
   uint64_t frame_count() const { return frame_count_; }
   uint64_t free_frames() const { return free_frames_; }
@@ -72,7 +92,7 @@ class BuddyAllocator {
   // Largest order with at least one free block, or -1 if memory is full.
   int LargestFreeOrder() const;
 
-  // How many order-`order` blocks could be carved from the free lists
+  // How many order-`order` blocks could be carved from the free blocks
   // (counting larger blocks at their split multiplicity).
   uint64_t BlocksAvailable(int order) const;
 
@@ -96,23 +116,82 @@ class BuddyAllocator {
     trace_vm_ = vm_id;
   }
 
-  // Visits each free block as (first_frame, order), in address order.
+  // Visits each maximal run of free frames as (first_frame, count), in
+  // address order: a ctz scan of free_map_ for a set bit, then for a clear
+  // one.
   template <typename Fn>
-  void ForEachFreeBlock(Fn&& fn) const {
-    for (const auto& [head, order] : free_blocks_) {
-      fn(head, order);
+  void ForEachFreeRun(Fn&& fn) const {
+    const size_t words = free_map_.size();
+    size_t w = 0;
+    uint64_t bits = words > 0 ? free_map_[0] : 0;
+    while (true) {
+      while (bits == 0) {
+        if (++w == words) {
+          return;
+        }
+        bits = free_map_[w];
+      }
+      const uint64_t lo =
+          w * 64 + static_cast<uint64_t>(__builtin_ctzll(bits));
+      uint64_t clear = ~bits & (~0ull << (lo & 63));
+      while (clear == 0) {
+        if (++w == words) {
+          fn(lo, frame_count_ - lo);
+          return;
+        }
+        clear = ~free_map_[w];
+      }
+      const uint64_t hi =
+          w * 64 + static_cast<uint64_t>(__builtin_ctzll(clear));
+      fn(lo, hi - lo);
+      bits = free_map_[w] & (~0ull << (hi & 63));
     }
   }
 
-  // Verifies internal invariants (for tests): free lists and the block map
-  // agree, blocks are aligned, no two blocks overlap or are unmerged
-  // buddies.  Aborts on violation.
+  // Visits each free block as (first_frame, order), in address order.
+  template <typename Fn>
+  void ForEachFreeBlock(Fn&& fn) const {
+    ForEachFreeRun([&](uint64_t lo, uint64_t count) {
+      const uint64_t hi = lo + count;
+      while (lo < hi) {
+        const int order = MaxBlockOrder(lo, hi - lo);
+        fn(lo, order);
+        lo += 1ull << order;
+      }
+    });
+  }
+
+  // Verifies internal invariants (for tests): every head is aligned, in
+  // range and free; blocks are disjoint and tile free_map_; no two blocks
+  // are unmerged buddies; counts_ and summary_ match heads_; the total is
+  // free_frames_; ForEachFreeBlock yields exactly the heads_ blocks.
+  // Aborts on violation.
   void CheckInvariants() const;
 
  private:
-  // True if any frame of [frame, frame + count) is currently free; used to
-  // reject double frees.
-  bool Intersected(uint64_t frame, uint64_t count) const;
+  // Order of the largest naturally aligned block that starts at `frame`
+  // and spans at most `len` (> 0) frames.
+  static int MaxBlockOrder(uint64_t frame, uint64_t len) {
+    int order = frame == 0 ? base::kMaxOrder - 1
+                           : std::min(base::kMaxOrder - 1,
+                                      __builtin_ctzll(frame));
+    return std::min(order, 63 - __builtin_clzll(len));
+  }
+
+  // True if [frame, frame + count) lies inside the frame space, without
+  // computing frame + count (which can wrap).
+  bool InRange(uint64_t frame, uint64_t count) const {
+    return frame < frame_count_ && count <= frame_count_ - frame;
+  }
+
+  bool IsHead(uint64_t head, int order) const {
+    const uint64_t bit = head >> order;
+    return (heads_[order][bit >> 6] >> (bit & 63)) & 1;
+  }
+  // Returns the k-th lowest free head of `order` (k < counts_[order]).
+  uint64_t SelectHead(int order, uint64_t k);
+  // Order-`order` head of the free block containing the free `frame`.
+  uint64_t BlockContaining(uint64_t frame, int* order) const;
 
   void InsertFreeBlock(uint64_t head, int order);
   void RemoveFreeBlock(uint64_t head, int order);
@@ -129,11 +208,16 @@ class BuddyAllocator {
   int32_t trace_vm_ = -1;
   bool randomize_ = false;
   base::Rng rng_;
-  // head frame -> order, for every free block.  Address-ordered.
-  std::map<uint64_t, int> free_blocks_;
-  // Per-order set of free block heads (address-ordered for low-first
-  // allocation).
-  std::array<std::set<uint64_t>, base::kMaxOrder> free_lists_;
+  // Per-order free-head bitmaps, one bit per order-o block position.
+  std::array<std::vector<uint64_t>, base::kMaxOrder> heads_;
+  // Per-order summary: bit j set iff heads_[o][j] != 0.
+  std::array<std::vector<uint64_t>, base::kMaxOrder> summary_;
+  // Per-order low-water mark: every summary_[o] word below it is zero.
+  std::array<size_t, base::kMaxOrder> summary_low_{};
+  // Number of free blocks of each order (set bits of heads_[o]).
+  std::array<uint64_t, base::kMaxOrder> counts_{};
+  // One bit per frame, set iff the frame is free.
+  std::vector<uint64_t> free_map_;
 };
 
 }  // namespace vmem

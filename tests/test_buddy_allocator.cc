@@ -1,10 +1,17 @@
 // Tests for the buddy allocator: invariants, targeted allocation, FMFI,
-// and randomized property sweeps against a frame-ownership reference.
+// randomized property sweeps against a frame-ownership reference, and a
+// differential test against the red-black-tree allocator the bitmaps
+// replaced.
 #include "vmem/buddy_allocator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
 #include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -109,6 +116,35 @@ TEST(Buddy, AllocateAtOutOfRangeFails) {
   BuddyAllocator buddy(256);
   EXPECT_FALSE(buddy.AllocateAt(250, 10));
   EXPECT_TRUE(buddy.AllocateAt(250, 6));
+}
+
+TEST(Buddy, RejectsRangesThatWrap) {
+  BuddyAllocator buddy(4096);
+  // frame + count wraps past 2^64 to a small number for each of these.
+  const uint64_t top = ~0ull & ~(kPagesPerHuge - 1);
+  EXPECT_FALSE(buddy.IsRangeFree(top, kPagesPerHuge));
+  EXPECT_FALSE(buddy.AllocateAt(top, kPagesPerHuge));
+  EXPECT_FALSE(buddy.IsRangeFree(1, ~0ull));
+  EXPECT_FALSE(buddy.AllocateAt(4095, ~0ull));
+  EXPECT_FALSE(buddy.IsFrameFree(~0ull));
+  EXPECT_EQ(buddy.free_frames(), 4096u);
+  buddy.CheckInvariants();
+  ASSERT_TRUE(buddy.AllocateAt(0, 16));
+  EXPECT_DEATH(buddy.Free(~0ull, 1), "SIM_CHECK");
+  EXPECT_DEATH(buddy.Free(8, ~0ull - 7), "SIM_CHECK");
+  EXPECT_DEATH(buddy.Free(4096, 1), "SIM_CHECK");
+  buddy.Free(0, 16);
+  EXPECT_EQ(buddy.free_frames(), 4096u);
+}
+
+TEST(Buddy, DoubleFreeAborts) {
+  BuddyAllocator buddy(4096);
+  ASSERT_TRUE(buddy.AllocateAt(100, 28));
+  // [96, 100) is free: a free of [96, 104) overlaps it.
+  EXPECT_DEATH(buddy.Free(96, 8), "double free");
+  EXPECT_DEATH(buddy.Free(127, 2), "double free");
+  buddy.Free(100, 28);
+  buddy.CheckInvariants();
 }
 
 TEST(Buddy, AllocateAtUnalignedHugeSpan) {
@@ -250,6 +286,265 @@ TEST(Buddy, BlocksAvailableCountsLargerBlocks) {
   // Splintering a block below order 9 removes it from availability.
   ASSERT_TRUE(buddy.AllocateAt(512 + 256, 1));
   EXPECT_EQ(buddy.BlocksAvailable(9), 6u);
+}
+
+}  // namespace
+
+namespace {
+
+// The allocator as it was before the bitmaps: a std::map of free blocks and
+// per-order std::set free lists.  Kept here, without tracing and with the
+// wrap-safe range check, as the reference model for BuddyDifferential.
+class TreeBuddy {
+ public:
+  TreeBuddy(uint64_t frame_count, uint64_t selection_seed)
+      : frame_count_(frame_count),
+        randomize_(selection_seed != 0),
+        rng_(selection_seed == 0 ? 1 : selection_seed) {
+    InsertFreeRange(0, frame_count);
+  }
+
+  uint64_t Allocate(int order) {
+    int found = -1;
+    for (int o = order; o < kMaxOrder; ++o) {
+      if (!free_lists_[o].empty()) {
+        found = o;
+        break;
+      }
+    }
+    if (found < 0) {
+      return kInvalidFrame;
+    }
+    auto it = free_lists_[found].begin();
+    if (randomize_) {
+      const size_t window = std::min<size_t>(16, free_lists_[found].size());
+      std::advance(it, static_cast<size_t>(rng_.NextBelow(window)));
+    }
+    const uint64_t head = *it;
+    RemoveFreeBlock(head, found);
+    for (int o = found; o > order; --o) {
+      InsertFreeBlock(head + (1ull << (o - 1)), o - 1);
+    }
+    return head;
+  }
+
+  bool IsRangeFree(uint64_t frame, uint64_t count) const {
+    if (count == 0) {
+      return true;
+    }
+    if (frame >= frame_count_ || count > frame_count_ - frame) {
+      return false;
+    }
+    uint64_t cursor = frame;
+    const uint64_t end = frame + count;
+    while (cursor < end) {
+      auto it = free_blocks_.upper_bound(cursor);
+      if (it == free_blocks_.begin()) {
+        return false;
+      }
+      --it;
+      const uint64_t block_end = it->first + (1ull << it->second);
+      if (block_end <= cursor) {
+        return false;
+      }
+      cursor = block_end;
+    }
+    return true;
+  }
+
+  bool AllocateAt(uint64_t frame, uint64_t count) {
+    if (count == 0) {
+      return true;
+    }
+    if (!IsRangeFree(frame, count)) {
+      return false;
+    }
+    const uint64_t end = frame + count;
+    uint64_t cursor = frame;
+    while (cursor < end) {
+      auto it = std::prev(free_blocks_.upper_bound(cursor));
+      const uint64_t head = it->first;
+      const int order = it->second;
+      const uint64_t block_end = head + (1ull << order);
+      RemoveFreeBlock(head, order);
+      if (head < frame) {
+        InsertFreeRange(head, frame);
+      }
+      if (block_end > end) {
+        InsertFreeRange(end, block_end);
+      }
+      cursor = block_end;
+    }
+    return true;
+  }
+
+  void Free(uint64_t frame, uint64_t count) {
+    InsertFreeRange(frame, frame + count);
+  }
+
+  std::vector<std::pair<uint64_t, int>> Blocks() const {
+    return {free_blocks_.begin(), free_blocks_.end()};
+  }
+  uint64_t FreeBlocksOfOrder(int order) const {
+    return free_lists_[order].size();
+  }
+  uint64_t free_frames() const { return free_frames_; }
+  uint64_t mutation_epoch() const { return mutation_epoch_; }
+  double Fmfi(int order) const {
+    if (free_frames_ == 0) {
+      return 1.0;
+    }
+    uint64_t usable = 0;
+    for (int o = order; o < kMaxOrder; ++o) {
+      usable += free_lists_[o].size() << o;
+    }
+    return 1.0 -
+           static_cast<double>(usable) / static_cast<double>(free_frames_);
+  }
+
+ private:
+  void InsertFreeBlock(uint64_t head, int order) {
+    free_blocks_.emplace(head, order);
+    free_lists_[order].insert(head);
+    free_frames_ += 1ull << order;
+    ++mutation_epoch_;
+  }
+
+  void RemoveFreeBlock(uint64_t head, int order) {
+    free_blocks_.erase(head);
+    free_lists_[order].erase(head);
+    free_frames_ -= 1ull << order;
+    ++mutation_epoch_;
+  }
+
+  void FreeBlock(uint64_t head, int order) {
+    while (order < kMaxOrder - 1) {
+      const uint64_t size = 1ull << order;
+      const uint64_t buddy = head ^ size;
+      if (buddy + size > frame_count_) {
+        break;
+      }
+      auto it = free_blocks_.find(buddy);
+      if (it == free_blocks_.end() || it->second != order) {
+        break;
+      }
+      RemoveFreeBlock(buddy, order);
+      head = std::min(head, buddy);
+      ++order;
+    }
+    InsertFreeBlock(head, order);
+  }
+
+  void InsertFreeRange(uint64_t lo, uint64_t hi) {
+    while (lo < hi) {
+      int order = lo == 0 ? kMaxOrder - 1
+                          : static_cast<int>(__builtin_ctzll(lo));
+      order = std::min(order, kMaxOrder - 1);
+      while ((1ull << order) > hi - lo) {
+        --order;
+      }
+      FreeBlock(lo, order);
+      lo += 1ull << order;
+    }
+  }
+
+  uint64_t frame_count_;
+  uint64_t free_frames_ = 0;
+  uint64_t mutation_epoch_ = 0;
+  bool randomize_;
+  base::Rng rng_;
+  std::map<uint64_t, int> free_blocks_;
+  std::array<std::set<uint64_t>, kMaxOrder> free_lists_;
+};
+
+std::vector<std::pair<uint64_t, int>> BlocksOf(const BuddyAllocator& buddy) {
+  std::vector<std::pair<uint64_t, int>> blocks;
+  buddy.ForEachFreeBlock(
+      [&](uint64_t head, int order) { blocks.emplace_back(head, order); });
+  return blocks;
+}
+
+// Runs one random operation sequence on both allocators, comparing every
+// observable after every step.
+void RunDifferential(uint64_t frames, uint64_t selection_seed, int steps) {
+  SCOPED_TRACE(testing::Message() << "frames " << frames << " seed "
+                                  << selection_seed);
+  BuddyAllocator buddy(frames, selection_seed);
+  TreeBuddy tree(frames, selection_seed);
+  base::Rng rng(frames * 31 + selection_seed);
+  // Live allocations: first frame -> count.
+  std::map<uint64_t, uint64_t> live;
+  const uint64_t max_span = std::min<uint64_t>(frames, 700);
+
+  for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const double dice = rng.NextDouble();
+    if (dice < 0.35) {
+      // Small orders dominate, as on the fault path.
+      const int order = rng.NextBool(0.7)
+                            ? static_cast<int>(rng.NextBelow(3))
+                            : static_cast<int>(rng.NextBelow(kMaxOrder));
+      const uint64_t got = buddy.Allocate(order);
+      ASSERT_EQ(got, tree.Allocate(order));
+      if (got != kInvalidFrame) {
+        live.emplace(got, 1ull << order);
+      }
+    } else if (dice < 0.6) {
+      // Targeted ranges, some running off the end of the frame space.
+      const uint64_t frame = rng.NextBelow(frames + 8);
+      const uint64_t count = 1 + rng.NextBelow(max_span);
+      const bool ok = buddy.AllocateAt(frame, count);
+      ASSERT_EQ(ok, tree.AllocateAt(frame, count));
+      if (ok) {
+        live.emplace(frame, count);
+      }
+    } else if (dice < 0.7) {
+      const uint64_t frame = rng.NextBelow(frames + 8);
+      const uint64_t count = rng.NextBelow(max_span + 1);
+      ASSERT_EQ(buddy.IsRangeFree(frame, count),
+                tree.IsRangeFree(frame, count));
+    } else if (!live.empty()) {
+      // Free a whole allocation or an arbitrary piece of one.
+      auto it = live.begin();
+      std::advance(it, rng.NextBelow(live.size()));
+      const auto [first, count] = *it;
+      live.erase(it);
+      uint64_t lo = first;
+      uint64_t hi = first + count;
+      if (count > 1 && rng.NextBool(0.4)) {
+        lo = first + rng.NextBelow(count);
+        hi = lo + 1 + rng.NextBelow(first + count - lo);
+        if (lo > first) {
+          live.emplace(first, lo - first);
+        }
+        if (hi < first + count) {
+          live.emplace(hi, first + count - hi);
+        }
+      }
+      buddy.Free(lo, hi - lo);
+      tree.Free(lo, hi - lo);
+    }
+    ASSERT_EQ(BlocksOf(buddy), tree.Blocks());
+    for (int o = 0; o < kMaxOrder; ++o) {
+      ASSERT_EQ(buddy.FreeBlocksOfOrder(o), tree.FreeBlocksOfOrder(o))
+          << "order " << o;
+    }
+    ASSERT_EQ(buddy.free_frames(), tree.free_frames());
+    ASSERT_EQ(buddy.mutation_epoch(), tree.mutation_epoch());
+    ASSERT_EQ(buddy.Fmfi(kHugeOrder), tree.Fmfi(kHugeOrder));
+    buddy.CheckInvariants();
+  }
+}
+
+// Sizes straddle bitmap-word (64 frames) and summary-word (4096 frames)
+// boundaries and end in a non-power-of-two tail.
+TEST(BuddyDifferential, MatchesTreeReference) {
+  for (uint64_t selection_seed : {0ull, 7ull, 1234567ull}) {
+    RunDifferential(63, selection_seed, 600);
+    RunDifferential(64, selection_seed, 600);
+    RunDifferential(4096 + 512 + 3, selection_seed, 1500);
+    RunDifferential(262144 + 77, selection_seed, 1500);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <vector>
+
+#include "base/rng.h"
 #include "base/types.h"
 #include "vmem/buddy_allocator.h"
 
@@ -128,6 +134,88 @@ TEST(ContiguityList, ExtentsMergeAcrossBuddyBlockBoundaries) {
   list.Refresh();
   ASSERT_EQ(list.extent_count(), 1u);
   EXPECT_EQ(list.extents()[0].count, 8192u);
+}
+
+// The extents Refresh should produce: free buddy blocks merged into
+// maximal runs.
+std::vector<ContiguityList::Extent> MergedBlocks(const BuddyAllocator& buddy) {
+  std::vector<ContiguityList::Extent> runs;
+  buddy.ForEachFreeBlock([&](uint64_t head, int order) {
+    const uint64_t size = 1ull << order;
+    if (!runs.empty() && runs.back().frame + runs.back().count == head) {
+      runs.back().count += size;
+    } else {
+      runs.push_back({head, size});
+    }
+  });
+  return runs;
+}
+
+// The same runs from the test's own per-frame record of what it pinned.
+std::vector<ContiguityList::Extent> FreeRuns(const std::vector<bool>& free) {
+  std::vector<ContiguityList::Extent> runs;
+  for (uint64_t f = 0; f < free.size(); ++f) {
+    if (!free[f]) {
+      continue;
+    }
+    if (!runs.empty() && runs.back().frame + runs.back().count == f) {
+      ++runs.back().count;
+    } else {
+      runs.push_back({f, 1});
+    }
+  }
+  return runs;
+}
+
+// Sizes straddle the 64-frame bitmap words and 4096-frame summary words and
+// end in a non-power-of-two tail; each allocator starts with its last frame
+// free, and the first step pins frame 0 so the final run is not the whole
+// space.
+TEST(ContiguityList, RefreshMatchesBlockMerge) {
+  for (uint64_t frames : {63ull, 64ull, 4096ull + 512 + 3, 262144ull + 77}) {
+    SCOPED_TRACE(testing::Message() << "frames " << frames);
+    BuddyAllocator buddy(frames, /*selection_seed=*/frames);
+    ContiguityList list(&buddy);
+    std::vector<bool> free(frames, true);
+    std::map<uint64_t, uint64_t> pinned;  // first frame -> count
+    base::Rng rng(frames);
+    ASSERT_TRUE(buddy.AllocateAt(0, 1));
+    pinned.emplace(0, 1);
+    free[0] = false;
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      if (rng.NextBool(0.6) || pinned.empty()) {
+        const uint64_t frame = rng.NextBelow(frames);
+        const uint64_t count = 1 + rng.NextBelow(std::min<uint64_t>(
+                                       frames - frame, 1 + rng.NextBelow(64)));
+        if (buddy.AllocateAt(frame, count)) {
+          pinned.emplace(frame, count);
+          std::fill_n(free.begin() + static_cast<ptrdiff_t>(frame), count,
+                      false);
+        }
+      } else {
+        auto it = pinned.begin();
+        std::advance(it, rng.NextBelow(pinned.size()));
+        buddy.Free(it->first, it->second);
+        std::fill_n(free.begin() + static_cast<ptrdiff_t>(it->first),
+                    it->second, true);
+        pinned.erase(it);
+      }
+      list.Refresh();
+      ASSERT_EQ(list.extents(), MergedBlocks(buddy));
+      ASSERT_EQ(list.extents(), FreeRuns(free));
+    }
+    // Free every pin, then pin the second-to-last frame: the last extent
+    // is the lone last frame.
+    for (const auto& [frame, count] : pinned) {
+      buddy.Free(frame, count);
+    }
+    ASSERT_TRUE(buddy.AllocateAt(frames - 2, 1));
+    list.Refresh();
+    ASSERT_EQ(list.extents(), MergedBlocks(buddy));
+    ASSERT_EQ(list.extents().back().frame, frames - 1);
+    ASSERT_EQ(list.extents().back().count, 1u);
+  }
 }
 
 }  // namespace
