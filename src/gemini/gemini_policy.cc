@@ -110,8 +110,8 @@ uint64_t GeminiGuestPolicy::PlacementTarget(KernelOps& kernel,
         const uint64_t avail = ext.frame + ext.count - aligned;
         frame = aligned;
         span_pages = std::min<uint64_t>(remaining, avail);
-        // The taken extent is gone from the list view only after the next
-        // Refresh; advance the next-fit cursor past it meanwhile.
+        // The next-fit cursor stays where it was: the taken extent drops
+        // out of the list view at the next Refresh.
       } else if (ext.count >= 64) {
         // 5) No aligned space at all: still place contiguously in the
         //    largest extent.  Contiguity for its own sake pays later —
@@ -408,9 +408,13 @@ void GeminiHostPolicy::OnDaemonTick(KernelOps& kernel) {
     booked_for_.clear();
   } else if (options_.enable_ema) {
     // Book host blocks for type-1 misaligned guest huge pages so the next
-    // EPT fault can back them huge, in place.
+    // EPT fault can back them huge, in place.  The list over the shared
+    // host buddy is rebuilt once per tick, just before the first search, so
+    // a tick with nothing to book skips the rebuild.  Not per search: the
+    // extents Book() takes stay in the view until the next rebuild, and a
+    // fresh view could change the next-fit picks (DESIGN.md §3j).
     uint32_t quota = options_.bookings_per_tick;
-    contiguity_->Refresh();
+    bool refreshed = false;
     for (const auto& [region, status] : channel.guest_huge_misaligned) {
       if (quota == 0) {
         break;
@@ -418,6 +422,10 @@ void GeminiHostPolicy::OnDaemonTick(KernelOps& kernel) {
       kernel.ChargeOverhead(kernel.costs().daemon_scan_region);
       if (status.type2 || booked_for_.count(region) != 0) {
         continue;
+      }
+      if (!refreshed) {
+        contiguity_->Refresh();
+        refreshed = true;
       }
       const uint64_t frame =
           contiguity_->FindFit(kPagesPerHuge, /*huge_aligned=*/true);

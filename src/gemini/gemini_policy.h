@@ -119,6 +119,8 @@ class GeminiHostPolicy final : public policy::HugePagePolicy {
 
   const Promoter& promoter() const { return promoter_; }
   const BookingManager* booking() const { return booking_.get(); }
+  // The host contiguity list (null until the first fault or tick).
+  const vmem::ContiguityList* contiguity() const { return contiguity_.get(); }
 
  private:
   void EnsureComponents(policy::KernelOps& kernel);

@@ -11,6 +11,7 @@ void ContiguityList::Refresh() {
     return;  // free map unchanged since the last rebuild
   }
   refreshed_epoch_ = buddy_->mutation_epoch();
+  ++rebuilds_;
   extents_.clear();
   buddy_->ForEachFreeRun([&](uint64_t frame, uint64_t count) {
     extents_.push_back(Extent{frame, count});

@@ -33,7 +33,8 @@ class ContiguityList {
 
   explicit ContiguityList(const BuddyAllocator* buddy) : buddy_(buddy) {}
 
-  // Rebuilds the extent list from the allocator's current free map.
+  // Rebuilds the extent list from the allocator's current free map; a no-op
+  // when the free map has not changed since the last rebuild.
   void Refresh();
 
   // Finds a free extent of at least `count` frames using next-fit from the
@@ -51,12 +52,15 @@ class ContiguityList {
 
   size_t extent_count() const { return extents_.size(); }
   const std::vector<Extent>& extents() const { return extents_; }
+  // Rebuilds Refresh() has actually done (calls it skipped are not counted).
+  uint64_t rebuilds() const { return rebuilds_; }
 
  private:
   const BuddyAllocator* buddy_;
   uint64_t refreshed_epoch_ = ~0ull;
   std::vector<Extent> extents_;
   uint64_t cursor_ = 0;  // address (frame) where the next search starts
+  uint64_t rebuilds_ = 0;
 };
 
 }  // namespace vmem

@@ -42,6 +42,8 @@ namespace workload {
 uint32_t VmThreadsFromEnv();
 // $GEMINI_VM_QUANTUM: operations per lane per epoch.  Default 256, the
 // interleaving grain the serial collocation harness has always used.
+// Both abort naming the variable unless it is unset, empty, or a whole
+// positive decimal number.
 uint64_t VmQuantumFromEnv();
 
 struct LaneSpec {

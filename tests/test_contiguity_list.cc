@@ -112,15 +112,18 @@ TEST(ContiguityList, LargestExtentEmptyWhenFull) {
 TEST(ContiguityList, RefreshIsCachedUntilMutation) {
   BuddyAllocator buddy(4096);
   ContiguityList list(&buddy);
+  EXPECT_EQ(list.rebuilds(), 0u);
   list.Refresh();
   ASSERT_EQ(list.extent_count(), 1u);
-  // No mutation: refresh must not rebuild (observable via unchanged view
-  // even though we cannot probe internals — verify it stays correct).
+  EXPECT_EQ(list.rebuilds(), 1u);
+  // No mutation: the second refresh is skipped.
   list.Refresh();
   EXPECT_EQ(list.extent_count(), 1u);
+  EXPECT_EQ(list.rebuilds(), 1u);
   ASSERT_TRUE(buddy.AllocateAt(100, 1));
   list.Refresh();
   EXPECT_EQ(list.extent_count(), 2u);
+  EXPECT_EQ(list.rebuilds(), 2u);
 }
 
 TEST(ContiguityList, ExtentsMergeAcrossBuddyBlockBoundaries) {

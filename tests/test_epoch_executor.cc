@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -234,6 +235,44 @@ TEST(EpochExecutor, EpochGuardsRejectSerialEntryPoints) {
   EXPECT_DEATH(bed.machine->AdvanceTime(100), "");
   bed.machine->EpochBarrier();
   EXPECT_FALSE(bed.machine->in_epoch());
+}
+
+// A malformed knob aborts naming the variable instead of silently running
+// the default (`abc`) or a prefix (`4x` as 4).  Only parsing runs in the
+// death-test child; no executor, so no thread, is created.
+TEST(EpochExecutor, MalformedEnvKnobsAbortLoudly) {
+  for (const char* bad : {"abc", "4x", "0"}) {
+    EXPECT_DEATH(
+        {
+          setenv("GEMINI_VM_THREADS", bad, 1);
+          workload::VmThreadsFromEnv();
+        },
+        "GEMINI_VM_THREADS")
+        << bad;
+    EXPECT_DEATH(
+        {
+          setenv("GEMINI_VM_QUANTUM", bad, 1);
+          workload::VmQuantumFromEnv();
+        },
+        "GEMINI_VM_QUANTUM")
+        << bad;
+  }
+}
+
+TEST(EpochExecutor, WellFormedEnvKnobsParse) {
+  const char* outer = std::getenv("GEMINI_VM_QUANTUM");
+  const std::string saved = outer != nullptr ? outer : "";
+  unsetenv("GEMINI_VM_QUANTUM");
+  EXPECT_EQ(workload::VmQuantumFromEnv(), 256u);
+  setenv("GEMINI_VM_QUANTUM", "", 1);
+  EXPECT_EQ(workload::VmQuantumFromEnv(), 256u);
+  setenv("GEMINI_VM_QUANTUM", "64", 1);
+  EXPECT_EQ(workload::VmQuantumFromEnv(), 64u);
+  if (outer != nullptr) {
+    setenv("GEMINI_VM_QUANTUM", saved.c_str(), 1);
+  } else {
+    unsetenv("GEMINI_VM_QUANTUM");
+  }
 }
 
 // Seeded fuzz: boots, VMA churn (map/unmap = shutdown noise), scalar

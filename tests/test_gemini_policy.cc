@@ -190,6 +190,73 @@ TEST(GeminiPolicy, BookingReservesType1HostHugeRegions) {
   EXPECT_TRUE(guest_policy->booking()->IsBooked(20 * kPagesPerHuge));
 }
 
+// Every collocated VM keeps a contiguity list over the one shared host
+// buddy.  A host tick with no type-1 region to book must not rebuild it,
+// however much the host buddy changes.
+TEST(GeminiPolicy, HostTickWithNothingToBookDoesNotRefreshContiguity) {
+  osim::Machine machine(SmallConfig());
+  auto& vm = gemini::InstallGeminiVm(machine, 32768);
+  auto* host_policy =
+      dynamic_cast<gemini::GeminiHostPolicy*>(&vm.host_slice().policy());
+  ASSERT_NE(host_policy, nullptr);
+  vmem::BuddyAllocator& host_buddy = machine.host().buddy();
+  for (int tick = 0; tick < 40; ++tick) {
+    const uint64_t frame = host_buddy.Allocate(0);
+    ASSERT_NE(frame, vmem::kInvalidFrame);
+    machine.AdvanceTime(machine.config().daemon_period);
+    host_buddy.Free(frame, 1);
+  }
+  ASSERT_NE(host_policy->contiguity(), nullptr);
+  EXPECT_EQ(host_policy->contiguity()->rebuilds(), 0u);
+}
+
+// BookingReservesType1HostHugeRegions' setup plus two type-1 misaligned
+// guest huge pages (guest huge leaves over empty host regions).  The host
+// tick that books for them rebuilds its list exactly once and books the
+// same frames as when every tick rebuilt; other ticks never rebuild.  The
+// promoter is off so the regions stay misaligned and booked.
+TEST(GeminiPolicy, HostBookingTickRefreshesContiguityOnce) {
+  gemini::GeminiOptions options;
+  options.enable_promoter = false;
+  osim::Machine machine(SmallConfig());
+  auto& vm = gemini::InstallGeminiVm(machine, 32768, options);
+  const uint64_t block = machine.host().buddy().Allocate(base::kHugeOrder);
+  ASSERT_NE(block, vmem::kInvalidFrame);
+  vm.host_slice().table().MapHuge(20, block);
+  for (const uint64_t region : {9ull, 10ull}) {
+    const uint64_t gfn = (region - 6) * kPagesPerHuge;
+    vm.guest().table().MapHuge(region, gfn);
+    ASSERT_TRUE(vm.guest().buddy().AllocateAt(gfn, kPagesPerHuge));
+  }
+  auto* host_policy =
+      dynamic_cast<gemini::GeminiHostPolicy*>(&vm.host_slice().policy());
+  ASSERT_NE(host_policy, nullptr);
+  int booking_ticks = 0;
+  for (int tick = 0; tick < 50; ++tick) {
+    const vmem::ContiguityList* list = host_policy->contiguity();
+    const uint64_t rebuilds_before = list != nullptr ? list->rebuilds() : 0;
+    const uint64_t started_before = host_policy->booking() != nullptr
+                                        ? host_policy->booking()->started()
+                                        : 0;
+    machine.AdvanceTime(machine.config().daemon_period);
+    const uint64_t rebuilds = host_policy->contiguity()->rebuilds();
+    if (host_policy->booking()->started() != started_before) {
+      ++booking_ticks;
+      EXPECT_EQ(host_policy->booking()->started() - started_before, 2u);
+      EXPECT_EQ(rebuilds - rebuilds_before, 1u);
+    } else {
+      EXPECT_EQ(rebuilds, rebuilds_before);
+    }
+  }
+  EXPECT_EQ(booking_ticks, 1);
+  EXPECT_TRUE(host_policy->booking()->IsBooked(0));
+  EXPECT_TRUE(host_policy->booking()->IsBooked(kPagesPerHuge));
+  auto* guest_policy =
+      dynamic_cast<gemini::GeminiGuestPolicy*>(&vm.guest().policy());
+  ASSERT_NE(guest_policy->booking(), nullptr);
+  EXPECT_TRUE(guest_policy->booking()->IsBooked(20 * kPagesPerHuge));
+}
+
 TEST(GeminiPolicy, InstallWiresScannerTask) {
   osim::Machine machine(SmallConfig());
   auto& vm = gemini::InstallGeminiVm(machine, 32768);
