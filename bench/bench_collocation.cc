@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "base/check.h"
+#include "base/env.h"
 #include "bench/bench_common.h"
 #include "harness/experiment.h"
 #include "metrics/export.h"
@@ -78,16 +79,7 @@ struct Row {
 
 // $GEMINI_BENCH_REPS, default 1: a 64-VM machine is heavy enough that one
 // repetition is the CI default; local perf work can raise it.
-uint64_t ResolveReps() {
-  if (const char* env = std::getenv("GEMINI_BENCH_REPS");
-      env != nullptr && env[0] != '\0') {
-    const uint64_t parsed = std::strtoull(env, nullptr, 10);
-    if (parsed > 0) {
-      return parsed;
-    }
-  }
-  return 1;
-}
+uint64_t ResolveReps() { return base::EnvPositiveInt("GEMINI_BENCH_REPS", 1); }
 
 void Mix(uint64_t* digest, uint64_t value) {
   *digest = (*digest ^ value) * 1099511628211ull;

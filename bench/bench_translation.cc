@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "base/check.h"
+#include "base/env.h"
 #include "base/rng.h"
 #include "base/stats.h"
 #include "base/types.h"
@@ -96,16 +97,7 @@ enum class Pattern {
 // min-of-N is the standard defense against scheduler and frequency noise,
 // and every repetition must reproduce the same checksum and counters
 // (enforced below), so the simulated side cannot vary between reps.
-uint64_t ResolveReps() {
-  const char* env = std::getenv("GEMINI_BENCH_REPS");
-  if (env != nullptr && env[0] != '\0') {
-    const uint64_t parsed = std::strtoull(env, nullptr, 10);
-    if (parsed > 0) {
-      return parsed;
-    }
-  }
-  return 3;
-}
+uint64_t ResolveReps() { return base::EnvPositiveInt("GEMINI_BENCH_REPS", 3); }
 
 TranslationEngine::Config EngineConfig() {
   // Paper-sized TLB (128 x 12): the same geometry the figure benches use.

@@ -1,9 +1,12 @@
 // Google-benchmark micro benchmarks for the hot substrate paths: buddy
-// allocation, targeted allocation, TLB lookup/insert, page-table walks,
-// EMA descriptor search, and contiguity-list refresh.  These are
-// engineering benchmarks (not paper figures): they bound the simulator's
-// own costs and catch regressions in the data structures Gemini leans on.
+// allocation, targeted allocation, TLB lookup/insert/shootdown, page-table
+// walks, EMA descriptor search, contiguity-list refresh, and CA-paging's
+// run search.  These are engineering benchmarks (not paper figures): they
+// bound the simulator's own costs and catch regressions in the data
+// structures Gemini leans on.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "base/rng.h"
 #include "base/types.h"
@@ -11,6 +14,7 @@
 #include "mmu/page_table.h"
 #include "mmu/tlb.h"
 #include "mmu/translation_engine.h"
+#include "policy/ca_paging.h"
 #include "vmem/buddy_allocator.h"
 #include "vmem/contiguity_list.h"
 #include "vmem/fragmenter.h"
@@ -108,6 +112,27 @@ void BM_TlbInsertEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbInsertEvict);
 
+// Shootdown of one 2 MiB region from a full paper-sized TLB (128 x 12),
+// the call every VMA unmap, promotion and migration makes.  Other regions'
+// base pages fill the array; the shot-down region holds range(0) base
+// entries, re-inserted after each shootdown (range(0) = 0 times the pure
+// array scan).
+void BM_TlbShootdownRegion(benchmark::State& state) {
+  mmu::Tlb tlb(mmu::TlbConfig{});
+  const uint64_t region_vpn = 64 * kPagesPerHuge;
+  for (uint64_t i = 0; i < 4 * 1536; ++i) {
+    tlb.Insert(i * 3, base::PageSize::kBase, i);  // regions 0..35
+  }
+  const uint64_t resident = static_cast<uint64_t>(state.range(0));
+  for (auto _ : state) {
+    for (uint64_t p = 0; p < resident; ++p) {
+      tlb.Insert(region_vpn + p * 29, base::PageSize::kBase, p);
+    }
+    benchmark::DoNotOptimize(tlb.ShootdownRange(region_vpn, kPagesPerHuge));
+  }
+}
+BENCHMARK(BM_TlbShootdownRegion)->Arg(0)->Arg(16);
+
 void BM_PageTableLookupBase(benchmark::State& state) {
   mmu::PageTable table;
   for (uint64_t v = 0; v < 64 * kPagesPerHuge; ++v) {
@@ -191,5 +216,27 @@ void BM_ContiguityRefreshFragmented(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ContiguityRefreshFragmented);
+
+// CA-paging's first-fault run search on a guest-sized buddy fragmented
+// like a paper-figure testbed (FMFI 0.8 at the huge order).  range(0) = 0:
+// a hit, 64 frames from mid-map; 1: a miss, one frame more than the
+// longest free run.
+void BM_FindContiguousRunFragmented(benchmark::State& state) {
+  constexpr uint64_t kGuestFrames = 128 * 1024;
+  vmem::BuddyAllocator buddy(kGuestFrames, /*selection_seed=*/5);
+  vmem::FrameSpace frames(kGuestFrames);
+  vmem::Fragmenter(&buddy, &frames, /*seed=*/6).FragmentToTarget(0.8);
+  uint64_t longest = 0;
+  buddy.ForEachFreeRun([&](uint64_t, uint64_t count) {
+    longest = std::max(longest, count);
+  });
+  const bool hit = state.range(0) == 0;
+  const uint64_t min_frames = hit ? 64 : longest + 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        policy::FindContiguousRun(buddy, min_frames, kGuestFrames / 2));
+  }
+}
+BENCHMARK(BM_FindContiguousRunFragmented)->Arg(0)->Arg(1);
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 
 #include "base/check.h"
+#include "base/env.h"
 #include "base/rng.h"
 #include "os/reclaim_daemon.h"
 #include "workload/epoch_executor.h"
@@ -310,29 +312,17 @@ bool ParseTlbShareMode(const std::string& name, mmu::TlbShareMode* mode) {
 }
 
 uint64_t RepartIntervalFromEnv(uint64_t fallback) {
-  const char* env = std::getenv("GEMINI_REPART_INTERVAL");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  return std::strtoull(env, nullptr, 10);
+  return base::EnvPositiveInt("GEMINI_REPART_INTERVAL", fallback);
 }
 
 uint32_t RepartMinWaysFromEnv(uint32_t fallback) {
-  const char* env = std::getenv("GEMINI_REPART_MIN_WAYS");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  const uint64_t v = std::strtoull(env, nullptr, 10);
-  SIM_CHECK_MSG(v >= 1, "GEMINI_REPART_MIN_WAYS must be >= 1");
-  return static_cast<uint32_t>(v);
+  return static_cast<uint32_t>(
+      base::EnvPositiveInt("GEMINI_REPART_MIN_WAYS", fallback,
+                           std::numeric_limits<uint32_t>::max()));
 }
 
 double OvercommitFromEnv(double fallback) {
-  const char* env = std::getenv("GEMINI_OVERCOMMIT");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  const double ratio = std::strtod(env, nullptr);
+  const double ratio = base::EnvDouble("GEMINI_OVERCOMMIT", fallback);
   SIM_CHECK_MSG(ratio == 0.0 || ratio >= 1.0,
                 "GEMINI_OVERCOMMIT must be 0 (off) or >= 1");
   return ratio;
@@ -352,26 +342,16 @@ policy::ReclaimPolicyKind ReclaimPolicyFromEnv(
 
 damon::MonitorConfig DamonConfigFromEnv(
     const damon::MonitorConfig& fallback) {
+  constexpr uint64_t kMax = std::numeric_limits<uint32_t>::max();
   damon::MonitorConfig config = fallback;
-  if (const char* env = std::getenv("GEMINI_DAMON_MIN");
-      env != nullptr && env[0] != '\0') {
-    const uint64_t v = std::strtoull(env, nullptr, 10);
-    SIM_CHECK_MSG(v >= 1, "GEMINI_DAMON_MIN must be >= 1");
-    config.min_regions = static_cast<uint32_t>(v);
-  }
-  if (const char* env = std::getenv("GEMINI_DAMON_MAX");
-      env != nullptr && env[0] != '\0') {
-    config.max_regions =
-        static_cast<uint32_t>(std::strtoull(env, nullptr, 10));
-  }
+  config.min_regions = static_cast<uint32_t>(
+      base::EnvPositiveInt("GEMINI_DAMON_MIN", config.min_regions, kMax));
+  config.max_regions = static_cast<uint32_t>(
+      base::EnvPositiveInt("GEMINI_DAMON_MAX", config.max_regions, kMax));
   SIM_CHECK_MSG(config.max_regions >= config.min_regions,
                 "GEMINI_DAMON_MAX must be >= GEMINI_DAMON_MIN");
-  if (const char* env = std::getenv("GEMINI_DAMON_AGG");
-      env != nullptr && env[0] != '\0') {
-    const uint64_t v = std::strtoull(env, nullptr, 10);
-    SIM_CHECK_MSG(v >= 1, "GEMINI_DAMON_AGG must be >= 1");
-    config.aggregation_ticks = static_cast<uint32_t>(v);
-  }
+  config.aggregation_ticks = static_cast<uint32_t>(base::EnvPositiveInt(
+      "GEMINI_DAMON_AGG", config.aggregation_ticks, kMax));
   return config;
 }
 

@@ -49,7 +49,8 @@ bool HaveAvx2() {
 
 Tlb::Tlb(const TlbConfig& config) : config_(config) {
   SIM_CHECK(config_.sets > 0 && (config_.sets & (config_.sets - 1)) == 0);
-  SIM_CHECK(config_.ways > 0);
+  // ShootdownRange collects a set's matching ways in one 64-bit mask.
+  SIM_CHECK(config_.ways > 0 && config_.ways <= 64);
   const size_t n = static_cast<size_t>(config_.sets) * config_.ways;
   SIM_CHECK(n < static_cast<size_t>(INT32_MAX));  // memo stores int32 indices
   tags_.assign(n, 0);
@@ -77,6 +78,9 @@ void Tlb::SetVmWays(uint16_t vmid, uint32_t way_begin, uint32_t way_count) {
     vms_.resize(vmid + 1);
   }
   VmState& vm = vms_[vmid];
+  if (vm.way_count == 0) {
+    windowed_.push_back(vmid);
+  }
   vm.way_begin = way_begin;
   vm.way_count = way_count;
   // Recount residency inside the new window (setup-time; full scan is fine).
@@ -104,15 +108,15 @@ uint32_t Tlb::RepartitionVmWays(uint16_t vmid, uint32_t way_begin,
   // VMs whose own repartition has not happened yet this tick.
   uint32_t dropped = 0;
   const uint32_t way_end = way_begin + way_count;
-  for (size_t i = 0; i < tags_.size(); ++i) {
-    const uint64_t t = tags_[i];
-    if ((t & 1) == 0 || TagVmid(t) != vmid) {
-      continue;
-    }
-    const uint32_t way = static_cast<uint32_t>(i % config_.ways);
-    if (way < way_begin || way >= way_end) {
-      DropSlot(i);
-      ++dropped;
+  for (uint32_t s = 0; s < config_.sets; ++s) {
+    const size_t base_i = static_cast<size_t>(s) * config_.ways;
+    for (uint32_t w = 0; w < config_.ways; ++w) {
+      const uint64_t t = tags_[base_i + w];
+      if ((t & 1) != 0 && TagVmid(t) == vmid &&
+          (w < way_begin || w >= way_end)) {
+        DropSlot(base_i + w, s, w);
+        ++dropped;
+      }
     }
   }
   Counters(vmid).repartition_evictions += dropped;
@@ -267,25 +271,27 @@ void Tlb::InsertMiss(uint64_t vpn, base::PageSize size, uint64_t frame,
   const uint64_t key =
       size == base::PageSize::kHuge ? (vpn >> base::kHugeOrder) : vpn;
   VmState& vm = Vm(vmid);
-  const size_t base_i = static_cast<size_t>(SetIndex(key)) * config_.ways;
+  const uint32_t set = SetIndex(key);
+  const size_t base_i = static_cast<size_t>(set) * config_.ways;
   const uint32_t way_end = vm.way_begin + vm.way_count;
   // LRU victim scan, branchless on the min update: which way is oldest is
   // data-dependent and mispredicts as a branch, so keep it as selects.
   // The free-way break stays a branch — it is rare once the set fills and
   // predicts well.
-  size_t victim = base_i + vm.way_begin;
+  uint32_t victim_way = vm.way_begin;
   uint64_t victim_lru = ~0ull;
   for (uint32_t w = vm.way_begin; w < way_end; ++w) {
     const size_t i = base_i + w;
     if ((tags_[i] & 1) == 0) {
-      victim = i;
+      victim_way = w;
       break;
     }
     const uint64_t l = lru_[i];
     const bool older = l < victim_lru;
-    victim = older ? i : victim;
+    victim_way = older ? w : victim_way;
     victim_lru = older ? l : victim_lru;
   }
+  const size_t victim = base_i + victim_way;
   if ((tags_[victim] & 1) != 0) {
     // Evicting a valid entry: attribute the eviction to its owner, split
     // conflict vs true-capacity by whether the inserting VM's window still
@@ -313,10 +319,12 @@ void Tlb::InsertMiss(uint64_t vpn, base::PageSize size, uint64_t frame,
                                        : base::PageSize::kBase,
                            victim_vmid, vmid);
     }
-    DropSlot(victim);
+    // The slot is refilled below, so set, total and window residency do
+    // not change: no DropSlot/AddSlot pair.
+  } else {
+    AddSlot(set, victim_way);
   }
   tags_[victim] = PackedTag(key, size, vmid);
-  AddSlot(victim);
   lru_[victim] = clock_;
   entries_[victim].frame = frame;
   entries_[victim].stamp = stamp;
@@ -328,28 +336,22 @@ void Tlb::InsertMiss(uint64_t vpn, base::PageSize size, uint64_t frame,
   }
 }
 
-void Tlb::DropSlot(size_t i) {
+void Tlb::DropSlot(size_t i, uint32_t set, uint32_t way) {
   tags_[i] = 0;
-  --set_valid_[i / config_.ways];
+  --set_valid_[set];
   --valid_total_;
-  const uint32_t way = static_cast<uint32_t>(i % config_.ways);
-  for (VmState& vm : vms_) {
-    if (vm.way_count != 0 && way >= vm.way_begin &&
-        way < vm.way_begin + vm.way_count) {
-      --vm.window_valid;
-    }
+  for (const uint16_t vmid : windowed_) {
+    VmState& vm = vms_[vmid];
+    vm.window_valid -= static_cast<uint32_t>(way - vm.way_begin < vm.way_count);
   }
 }
 
-void Tlb::AddSlot(size_t i) {
-  ++set_valid_[i / config_.ways];
+void Tlb::AddSlot(uint32_t set, uint32_t way) {
+  ++set_valid_[set];
   ++valid_total_;
-  const uint32_t way = static_cast<uint32_t>(i % config_.ways);
-  for (VmState& vm : vms_) {
-    if (vm.way_count != 0 && way >= vm.way_begin &&
-        way < vm.way_begin + vm.way_count) {
-      ++vm.window_valid;
-    }
+  for (const uint16_t vmid : windowed_) {
+    VmState& vm = vms_[vmid];
+    vm.window_valid += static_cast<uint32_t>(way - vm.way_begin < vm.way_count);
   }
 }
 
@@ -372,11 +374,14 @@ void Tlb::Flush() {
 
 uint32_t Tlb::InvalidateVm(uint16_t vmid) {
   uint32_t dropped = 0;
-  for (size_t i = 0; i < tags_.size(); ++i) {
-    const uint64_t t = tags_[i];
-    if ((t & 1) != 0 && TagVmid(t) == vmid) {
-      DropSlot(i);
-      ++dropped;
+  for (uint32_t s = 0; s < config_.sets; ++s) {
+    const size_t base_i = static_cast<size_t>(s) * config_.ways;
+    for (uint32_t w = 0; w < config_.ways; ++w) {
+      const uint64_t t = tags_[base_i + w];
+      if ((t & 1) != 0 && TagVmid(t) == vmid) {
+        DropSlot(base_i + w, s, w);
+        ++dropped;
+      }
     }
   }
   Counters(vmid).vm_invalidated += dropped;
@@ -389,13 +394,13 @@ uint32_t Tlb::InvalidateVm(uint16_t vmid) {
 uint32_t Tlb::ShootdownPage(uint64_t vpn, uint16_t vmid) {
   uint32_t dropped = 0;
   if (const int64_t i = FindEntry(vpn, base::PageSize::kBase, vmid); i >= 0) {
-    DropSlot(i);
+    DropFound(vpn, i);
     ++dropped;
   }
-  if (const int64_t i =
-          FindEntry(vpn >> base::kHugeOrder, base::PageSize::kHuge, vmid);
+  const uint64_t region = vpn >> base::kHugeOrder;
+  if (const int64_t i = FindEntry(region, base::PageSize::kHuge, vmid);
       i >= 0) {
-    DropSlot(i);
+    DropFound(region, i);
     ++dropped;
   }
   Counters(vmid).shootdowns += dropped;
@@ -408,34 +413,73 @@ uint32_t Tlb::ShootdownPage(uint64_t vpn, uint16_t vmid) {
 }
 
 uint32_t Tlb::ShootdownRange(uint64_t vpn, uint64_t pages, uint16_t vmid) {
-  // For large ranges a full scan is cheaper than per-page probes.
-  if (pages >= entries_.size()) {
-    uint32_t dropped = 0;
-    const uint64_t end = vpn + pages;
-    for (size_t i = 0; i < tags_.size(); ++i) {
-      const uint64_t t = tags_[i];
-      if ((t & 1) == 0 || TagVmid(t) != vmid) {
-        continue;
+  if (pages == 0) {
+    return 0;
+  }
+  // Drops exactly what ShootdownPage of every page would: each base entry
+  // keyed inside the range and each huge entry of a region the range
+  // touches.  Drop order does not matter: DropSlot only decrements counts.
+  const uint64_t end = vpn + pages;
+  const uint64_t first_region = vpn >> base::kHugeOrder;
+  const uint64_t regions = ((end - 1) >> base::kHugeOrder) - first_region + 1;
+  uint32_t dropped = 0;
+  if (pages >= config_.sets) {
+    // At least one page per set: one pass over every way beats the probes.
+    // The match needs no branch on the valid and vmid bits or on the
+    // unsigned offset compare against the page or region interval; only
+    // the size bit picks the interval, which GCC compiles to a branch that
+    // predicts well (most ways hold base entries; testing both intervals
+    // for every way measured slower).  The matches of a set form a mask,
+    // and only those ways are dropped.
+    constexpr uint64_t kIdMask = ((kMaxVms - 1ull) << 2) | 1;
+    const uint64_t id = (static_cast<uint64_t>(vmid) << 2) | 1;
+    for (uint32_t s = 0; s < config_.sets; ++s) {
+      const size_t base_i = static_cast<size_t>(s) * config_.ways;
+      const uint64_t* tags = &tags_[base_i];
+      uint64_t matches = 0;
+      for (uint32_t w = 0; w < config_.ways; ++w) {
+        const uint64_t t = tags[w];
+        const bool huge = (t & 2) != 0;
+        const uint64_t lo = huge ? first_region : vpn;
+        const uint64_t span = huge ? regions : pages;
+        const uint64_t key = t >> (kVmidBits + 2);
+        matches |=
+            static_cast<uint64_t>(((t & kIdMask) == id) & (key - lo < span))
+            << w;
       }
-      const bool huge = (t & 2) != 0;
-      const uint64_t tag = t >> (kVmidBits + 2);
-      const uint64_t lo = huge ? tag << base::kHugeOrder : tag;
-      const uint64_t hi = lo + (huge ? base::kPagesPerHuge : 1);
-      if (lo < end && hi > vpn) {
-        DropSlot(i);
+      for (; matches != 0; matches &= matches - 1) {
+        const uint32_t w = static_cast<uint32_t>(__builtin_ctzll(matches));
+        DropSlot(base_i + w, s, w);
         ++dropped;
       }
     }
-    Counters(vmid).shootdowns += dropped;
     if (monitor_ != nullptr) {
+      // Clears exactly the records and shadow entries that OnShootdown of
+      // every page would (DESIGN.md "Testbed build path").
       monitor_->OnShootdownRange(vpn, pages, vmid);
     }
-    return dropped;
+  } else {
+    for (uint64_t p = vpn; p != end; ++p) {
+      if (const int64_t i = FindEntry(p, base::PageSize::kBase, vmid);
+          i >= 0) {
+        DropFound(p, i);
+        ++dropped;
+      }
+    }
+    for (uint64_t r = first_region; r != first_region + regions; ++r) {
+      if (const int64_t i = FindEntry(r, base::PageSize::kHuge, vmid);
+          i >= 0) {
+        DropFound(r, i);
+        ++dropped;
+      }
+    }
+    if (monitor_ != nullptr) {
+      for (uint64_t p = vpn; p != end; ++p) {
+        monitor_->OnShootdown(p, vmid);
+      }
+    }
   }
-  uint32_t dropped = 0;
-  for (uint64_t p = 0; p < pages; ++p) {
-    dropped += ShootdownPage(vpn + p, vmid);
-  }
+  Counters(vmid).shootdowns += dropped;
   return dropped;
 }
 

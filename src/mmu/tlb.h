@@ -228,6 +228,12 @@ class Tlb {
   uint32_t ShootdownPage(uint64_t vpn, uint16_t vmid = 0);
 
   // Invalidates all entries of `vmid` overlapping [vpn, vpn + pages).
+  // Equivalent to ShootdownPage of every page in the range: the same
+  // entries drop, the same shootdown count is charged, and an attached
+  // monitor ends in the same state.  Ranges of at least `sets` pages (a
+  // 2 MiB region on the paper geometry) take one pass over the array;
+  // shorter ones probe each page's base key and each touched region's huge
+  // key once.
   uint32_t ShootdownRange(uint64_t vpn, uint64_t pages, uint16_t vmid = 0);
 
   // Aggregate counters (summed over every registered VM); identical to the
@@ -329,10 +335,18 @@ class Tlb {
     }
     return vms_[vmid].counters;
   }
-  // Validity bookkeeping when slot `i` becomes invalid / gains a valid
-  // entry (set residency, total, and every covering way window).
-  void DropSlot(size_t i);
-  void AddSlot(size_t i);
+  // Validity bookkeeping when slot `i` (way `way` of `set`) becomes
+  // invalid / gains a valid entry: set residency, total, and every covering
+  // way window.  Callers know set and way, so no division is needed.
+  void DropSlot(size_t i, uint32_t set, uint32_t way);
+  void AddSlot(uint32_t set, uint32_t way);
+  // Drops slot `i`, which FindEntry returned for `key`.
+  void DropFound(uint64_t key, int64_t i) {
+    const uint32_t set = SetIndex(key);
+    DropSlot(static_cast<size_t>(i), set,
+             static_cast<uint32_t>(static_cast<size_t>(i) -
+                                   static_cast<size_t>(set) * config_.ways));
+  }
   uint64_t Sum(uint64_t VmTlbCounters::* field) const;
 
   // Direct-mapped cache of recently hit/inserted huge entry indices, by
@@ -348,6 +362,9 @@ class Tlb {
   std::vector<Entry> entries_;     // sets * ways payloads
   std::vector<int32_t> huge_hit_memo_;  // kHugeMemoSlots, region-indexed
   std::vector<VmState> vms_;       // indexed by vmid; grown by RegisterVm
+  // Vmids that have a way window (way_count != 0), in registration order:
+  // the only slots whose window_valid DropSlot/AddSlot must maintain.
+  std::vector<uint16_t> windowed_;
   std::vector<uint32_t> set_valid_;  // per-set residency
   uint32_t valid_total_ = 0;
   int64_t last_hit_ = -1;  // entry the most recent Lookup hit, or -1

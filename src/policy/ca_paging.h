@@ -39,10 +39,15 @@ class CaPagingPolicy : public ThpPolicy {
   std::unordered_map<int32_t, int64_t> offsets_;
   uint64_t next_fit_cursor_ = 0;
   uint64_t search_retry_epoch_ = 0;  // backoff after a failed run search
+  // Fewest frames a search found no run for, while the buddy's frees()
+  // stayed at no_fit_frees_ (runs only shrink between frees).
+  uint64_t no_fit_frees_ = 0;
+  uint64_t no_fit_frames_ = ~0ull;
 };
 
-// Finds the first free run of at least `min_frames` contiguous frames at or
-// after `cursor` (wrapping once).  Returns kInvalidFrame if none exists.
+// Finds the first free run of at least `min_frames` (> 0) contiguous frames
+// at or after `cursor` (wrapping once).  Returns kInvalidFrame if none
+// exists.  Walks only from the run holding the cursor to the first fit.
 // Shared by CA-paging and tests.
 uint64_t FindContiguousRun(const vmem::BuddyAllocator& buddy,
                            uint64_t min_frames, uint64_t cursor);

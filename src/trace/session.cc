@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "base/env.h"
 #include "metrics/export.h"
 #include "trace/perfetto.h"
 
@@ -38,13 +39,8 @@ TraceConfig TraceConfigFromEnv(const std::string& stem) {
   config.enabled = true;
   config.dir = dir;
   config.stem = stem;
-  const char* interval = std::getenv("GEMINI_TRACE_INTERVAL");
-  if (interval != nullptr && interval[0] != '\0') {
-    const long long parsed = std::atoll(interval);
-    if (parsed > 0) {
-      config.sample_period = static_cast<base::Cycles>(parsed);
-    }
-  }
+  config.sample_period = static_cast<base::Cycles>(
+      base::EnvPositiveInt("GEMINI_TRACE_INTERVAL", config.sample_period));
   return config;
 }
 

@@ -247,7 +247,55 @@ void BuddyAllocator::Free(uint64_t frame, uint64_t count) {
   SIM_CHECK_MSG(count == 0 || !AnySet(free_map_, frame, frame + count),
                 "double free of frame %llu",
                 static_cast<unsigned long long>(frame));
+  if (count > 0) {
+    ++frees_;
+  }
   InsertFreeRange(frame, frame + count);
+}
+
+uint64_t BuddyAllocator::FirstFreeRun(uint64_t min_frames,
+                                      uint64_t limit) const {
+  SIM_CHECK(min_frames > 0);
+  limit = std::min(limit, frame_count_);
+  // `open` counts the free frames that end at the current word boundary.
+  uint64_t open = 0;
+  for (uint64_t w = 0; w * 64 < limit; ++w) {
+    uint64_t x = free_map_[w];
+    if (limit - w * 64 < 64) {
+      x &= (1ull << (limit - w * 64)) - 1;
+    }
+    if (x == 0) {
+      open = 0;
+      continue;
+    }
+    if (x == ~0ull) {
+      open += 64;
+      if (open >= min_frames) {
+        return w * 64 + 64 - open;
+      }
+      continue;
+    }
+    // The word's low ones extend the open run.
+    if (open + static_cast<uint64_t>(__builtin_ctzll(~x)) >= min_frames) {
+      return w * 64 - open;
+    }
+    // A fit wholly inside the word: y keeps bit i iff bits [i, i + len) of
+    // x are all set.  Its lowest bit starts a maximal run, since a fit at
+    // bit 0 would have extended the open run above.
+    if (min_frames < 64) {
+      uint64_t y = x;
+      for (uint64_t len = 1; len < min_frames;) {
+        const uint64_t step = std::min(len, min_frames - len);
+        y &= y >> step;
+        len += step;
+      }
+      if (y != 0) {
+        return w * 64 + static_cast<uint64_t>(__builtin_ctzll(y));
+      }
+    }
+    open = static_cast<uint64_t>(__builtin_clzll(~x));
+  }
+  return kInvalidFrame;
 }
 
 uint64_t BuddyAllocator::FreeBlocksOfOrder(int order) const {

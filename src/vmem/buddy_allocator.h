@@ -107,6 +107,14 @@ class BuddyAllocator {
   // detection for cached views (the contiguity list).
   uint64_t mutation_epoch() const { return mutation_epoch_; }
 
+  // Monotone counter bumped by every Free of at least one frame: the only
+  // call that adds frames to the free map.  Allocate and AllocateAt only
+  // remove frames (their re-splits re-insert frames that were already
+  // free), so while frees() is unchanged every maximal free run can only
+  // shrink or split, and a search that found no run of n frames stays
+  // fruitless (DESIGN.md "Testbed build path").
+  uint64_t frees() const { return frees_; }
+
   // Attaches the machine's tracer so split/merge/targeted-allocation
   // tracepoints are emitted, tagged with this allocator's layer and VM.
   // Null (the default) keeps the allocator silent.
@@ -116,18 +124,26 @@ class BuddyAllocator {
     trace_vm_ = vm_id;
   }
 
-  // Visits each maximal run of free frames as (first_frame, count), in
-  // address order: a ctz scan of free_map_ for a set bit, then for a clear
-  // one.
+  // Visits maximal runs of free frames as (first_frame, count), in address
+  // order, starting with the run that holds frame `from` (reported whole)
+  // or else the first run after `from`, until `fn` returns false.  Returns
+  // false iff `fn` stopped the walk.  A ctz scan of free_map_ for a set
+  // bit, then for a clear one.
   template <typename Fn>
-  void ForEachFreeRun(Fn&& fn) const {
+  bool ForEachFreeRunFrom(uint64_t from, Fn&& fn) const {
+    if (from >= frame_count_) {
+      return true;
+    }
+    if (IsFrameFree(from)) {
+      from = FreeRunStart(from);
+    }
     const size_t words = free_map_.size();
-    size_t w = 0;
-    uint64_t bits = words > 0 ? free_map_[0] : 0;
+    size_t w = from >> 6;
+    uint64_t bits = free_map_[w] & (~0ull << (from & 63));
     while (true) {
       while (bits == 0) {
         if (++w == words) {
-          return;
+          return true;
         }
         bits = free_map_[w];
       }
@@ -136,16 +152,43 @@ class BuddyAllocator {
       uint64_t clear = ~bits & (~0ull << (lo & 63));
       while (clear == 0) {
         if (++w == words) {
-          fn(lo, frame_count_ - lo);
-          return;
+          return fn(lo, frame_count_ - lo);
         }
         clear = ~free_map_[w];
       }
       const uint64_t hi =
           w * 64 + static_cast<uint64_t>(__builtin_ctzll(clear));
-      fn(lo, hi - lo);
+      if (!fn(lo, hi - lo)) {
+        return false;
+      }
       bits = free_map_[w] & (~0ull << (hi & 63));
     }
+  }
+
+  // Visits each maximal run of free frames as (first_frame, count), in
+  // address order.
+  template <typename Fn>
+  void ForEachFreeRun(Fn&& fn) const {
+    ForEachFreeRunFrom(0, [&](uint64_t lo, uint64_t count) {
+      fn(lo, count);
+      return true;
+    });
+  }
+
+  // First frame of the lowest maximal free run of at least `min_frames`
+  // (> 0) frames that lies below `limit`, or kInvalidFrame.  A run that
+  // crosses `limit` counts only its part below it.  A word-level scan of
+  // free_map_ that stops at the first fit.
+  uint64_t FirstFreeRun(uint64_t min_frames, uint64_t limit) const;
+
+  // End of the first block, in the greedy split ForEachFreeBlock applies
+  // to the free run [lo, hi), that ends at or past `at` (lo < at <= hi).
+  static uint64_t BlockEndAtOrPast(uint64_t lo, uint64_t hi, uint64_t at) {
+    uint64_t end = lo;
+    while (end < at) {
+      end += 1ull << MaxBlockOrder(end, hi - end);
+    }
+    return end;
   }
 
   // Visits each free block as (first_frame, order), in address order.
@@ -184,6 +227,20 @@ class BuddyAllocator {
     return frame < frame_count_ && count <= frame_count_ - frame;
   }
 
+  // First frame of the maximal free run holding the free `frame`: a scan
+  // down free_map_ for the nearest clear bit below it.
+  uint64_t FreeRunStart(uint64_t frame) const {
+    size_t w = frame >> 6;
+    uint64_t clear = ~free_map_[w] & ((2ull << (frame & 63)) - 1);
+    while (clear == 0) {
+      if (w == 0) {
+        return 0;
+      }
+      clear = ~free_map_[--w];
+    }
+    return w * 64 + 64 - static_cast<uint64_t>(__builtin_clzll(clear));
+  }
+
   bool IsHead(uint64_t head, int order) const {
     const uint64_t bit = head >> order;
     return (heads_[order][bit >> 6] >> (bit & 63)) & 1;
@@ -203,6 +260,7 @@ class BuddyAllocator {
   uint64_t frame_count_;
   uint64_t free_frames_ = 0;
   uint64_t mutation_epoch_ = 0;
+  uint64_t frees_ = 0;
   trace::Tracer* tracer_ = nullptr;
   base::Layer trace_layer_ = base::Layer::kGuest;
   int32_t trace_vm_ = -1;

@@ -1,45 +1,22 @@
 #include "workload/epoch_executor.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "base/check.h"
+#include "base/env.h"
 
 namespace workload {
 
-namespace {
-
-// Unset or empty means `fallback`; anything else must be a whole positive
-// decimal number, or the run aborts naming the variable.
-uint64_t EnvValue(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  const char* end = env + std::strlen(env);
-  uint64_t parsed = 0;
-  const auto [ptr, ec] = std::from_chars(env, end, parsed);
-  SIM_CHECK_MSG(ec == std::errc() && ptr == end && parsed > 0,
-                "%s=\"%s\" is not a positive decimal integer", name, env);
-  return parsed;
-}
-
-}  // namespace
-
 uint32_t VmThreadsFromEnv() {
-  const uint64_t threads = EnvValue("GEMINI_VM_THREADS", 1);
-  SIM_CHECK_MSG(threads <= std::numeric_limits<uint32_t>::max(),
-                "GEMINI_VM_THREADS=%llu is out of range",
-                static_cast<unsigned long long>(threads));
-  return static_cast<uint32_t>(threads);
+  return static_cast<uint32_t>(base::EnvPositiveInt(
+      "GEMINI_VM_THREADS", 1, std::numeric_limits<uint32_t>::max()));
 }
 
 uint64_t VmQuantumFromEnv() {
-  return EnvValue("GEMINI_VM_QUANTUM", 256);
+  return base::EnvPositiveInt("GEMINI_VM_QUANTUM", 256);
 }
 
 EpochExecutor::EpochExecutor(osim::Machine* machine,

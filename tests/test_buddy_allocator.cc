@@ -195,6 +195,79 @@ TEST(Buddy, MutationEpochAdvances) {
   EXPECT_GT(buddy.mutation_epoch(), e1);
 }
 
+TEST(Buddy, FreesCountsOnlyFrees) {
+  BuddyAllocator buddy(4096);
+  EXPECT_EQ(buddy.frees(), 0u);
+  const uint64_t f = buddy.Allocate(3);
+  ASSERT_TRUE(buddy.AllocateAt(1000, 37));  // re-splits the slack
+  EXPECT_EQ(buddy.frees(), 0u);
+  buddy.Free(f, 0);  // frees nothing
+  EXPECT_EQ(buddy.frees(), 0u);
+  buddy.Free(f, 8);
+  EXPECT_EQ(buddy.frees(), 1u);
+  buddy.Free(1000, 37);
+  EXPECT_EQ(buddy.frees(), 2u);
+}
+
+// ForEachFreeRunFrom and FirstFreeRun against brute force over the free
+// map on randomly fragmented buddies, including sizes that are not a
+// multiple of 64 and runs that cross word boundaries.
+TEST(Buddy, RunWalkFromAndFirstFreeRunMatchBruteForce) {
+  base::Rng rng(77);
+  for (int trial = 0; trial < 40; ++trial) {
+    const uint64_t frames = 64 + rng.NextBelow(5000);
+    BuddyAllocator buddy(frames);
+    for (int i = 0; i < 300; ++i) {
+      (void)buddy.AllocateAt(rng.NextBelow(frames), 1 + rng.NextBelow(90));
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> runs;  // brute force
+    for (uint64_t f = 0; f < frames; ++f) {
+      if (!buddy.IsFrameFree(f)) {
+        continue;
+      }
+      if (!runs.empty() && runs.back().first + runs.back().second == f) {
+        ++runs.back().second;
+      } else {
+        runs.emplace_back(f, 1);
+      }
+    }
+    for (int q = 0; q < 50; ++q) {
+      const uint64_t from = rng.NextBelow(frames + 3);
+      std::vector<std::pair<uint64_t, uint64_t>> want;
+      for (const auto& run : runs) {
+        if (run.first + run.second > from) {
+          want.push_back(run);
+        }
+      }
+      const size_t stop = rng.NextBelow(want.size() + 2);
+      std::vector<std::pair<uint64_t, uint64_t>> got;
+      const bool completed =
+          buddy.ForEachFreeRunFrom(from, [&](uint64_t lo, uint64_t count) {
+            got.emplace_back(lo, count);
+            return got.size() != stop;
+          });
+      const size_t visited = stop == 0 ? want.size()
+                                       : std::min(stop, want.size());
+      EXPECT_EQ(completed, stop == 0 || stop > want.size());
+      want.resize(visited);
+      ASSERT_EQ(got, want) << "trial " << trial << " from " << from;
+
+      const uint64_t min_frames = 1 + rng.NextBelow(rng.NextBool(0.5) ? 70 : 400);
+      const uint64_t limit = rng.NextBelow(frames + 3);
+      uint64_t first = kInvalidFrame;
+      for (const auto& [lo, count] : runs) {
+        if (lo < limit && std::min(lo + count, limit) - lo >= min_frames) {
+          first = lo;
+          break;
+        }
+      }
+      ASSERT_EQ(buddy.FirstFreeRun(min_frames, limit), first)
+          << "trial " << trial << " min " << min_frames << " limit "
+          << limit;
+    }
+  }
+}
+
 TEST(Buddy, RandomizedSelectionStaysCorrect) {
   BuddyAllocator buddy(1 << 13, /*selection_seed=*/99);
   std::vector<uint64_t> got;

@@ -381,7 +381,7 @@ TEST_P(UtilityMonitorDifferentialTest, MatchesBruteForceFullLruReference) {
       tlb.ShootdownPage(vpn, vmid);
       ref.Shootdown(vpn, vmid);
     } else if (r < 0.90) {
-      // Small ranges take the per-page path (pages < total entries).
+      // Short ranges take the per-page path (pages < sets).
       tlb.ShootdownRange(vpn, 4, vmid);
       for (uint64_t p = 0; p < 4; ++p) {
         ref.Shootdown(vpn + p, vmid);
