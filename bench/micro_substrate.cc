@@ -1,19 +1,26 @@
 // Google-benchmark micro benchmarks for the hot substrate paths: buddy
 // allocation, targeted allocation, TLB lookup/insert/shootdown, page-table
-// walks, EMA descriptor search, contiguity-list refresh, and CA-paging's
-// run search.  These are engineering benchmarks (not paper figures): they
-// bound the simulator's own costs and catch regressions in the data
-// structures Gemini leans on.
+// walks, EMA descriptor search, contiguity-list refresh, CA-paging's run
+// search, first touches of a fresh VMA, and an idle MHPS tick over 64 VMs.
+// These are engineering benchmarks (not paper figures): they bound the
+// simulator's own costs and catch regressions in the data structures
+// Gemini leans on.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "base/rng.h"
 #include "base/types.h"
+#include "gemini/channel.h"
 #include "gemini/ema.h"
+#include "gemini/mhps.h"
+#include "harness/systems.h"
 #include "mmu/page_table.h"
 #include "mmu/tlb.h"
 #include "mmu/translation_engine.h"
+#include "os/machine.h"
 #include "policy/ca_paging.h"
 #include "vmem/buddy_allocator.h"
 #include "vmem/contiguity_list.h"
@@ -220,23 +227,114 @@ BENCHMARK(BM_ContiguityRefreshFragmented);
 // CA-paging's first-fault run search on a guest-sized buddy fragmented
 // like a paper-figure testbed (FMFI 0.8 at the huge order).  range(0) = 0:
 // a hit, 64 frames from mid-map; 1: a miss, one frame more than the
-// longest free run.
+// longest free run; 2: a large VMA's hit, the longest run past mid-map,
+// found after every shorter run before it.
 void BM_FindContiguousRunFragmented(benchmark::State& state) {
   constexpr uint64_t kGuestFrames = 128 * 1024;
+  constexpr uint64_t kCursor = kGuestFrames / 2;
   vmem::BuddyAllocator buddy(kGuestFrames, /*selection_seed=*/5);
   vmem::FrameSpace frames(kGuestFrames);
   vmem::Fragmenter(&buddy, &frames, /*seed=*/6).FragmentToTarget(0.8);
   uint64_t longest = 0;
-  buddy.ForEachFreeRun([&](uint64_t, uint64_t count) {
+  uint64_t longest_past_cursor = 0;
+  buddy.ForEachFreeRun([&](uint64_t lo, uint64_t count) {
     longest = std::max(longest, count);
+    if (lo >= kCursor) {
+      longest_past_cursor = std::max(longest_past_cursor, count);
+    }
   });
-  const bool hit = state.range(0) == 0;
-  const uint64_t min_frames = hit ? 64 : longest + 1;
+  const uint64_t min_frames[] = {64, longest + 1, longest_past_cursor};
+  const uint64_t n = min_frames[state.range(0)];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        policy::FindContiguousRun(buddy, min_frames, kGuestFrames / 2));
+    benchmark::DoNotOptimize(policy::FindContiguousRun(buddy, n, kCursor));
   }
 }
-BENCHMARK(BM_FindContiguousRunFragmented)->Arg(0)->Arg(1);
+BENCHMARK(BM_FindContiguousRunFragmented)->Arg(0)->Arg(1)->Arg(2);
+
+// The same large-VMA hit on a map of short runs: one frame in six taken at
+// random, so the search passes hundreds of runs of a few frames each before
+// the longest run past mid-map.
+void BM_FindContiguousRunShortRuns(benchmark::State& state) {
+  constexpr uint64_t kGuestFrames = 128 * 1024;
+  constexpr uint64_t kCursor = kGuestFrames / 2;
+  vmem::BuddyAllocator buddy(kGuestFrames);
+  base::Rng rng(9);
+  for (uint64_t i = 0; i < kGuestFrames / 6; ++i) {
+    (void)buddy.AllocateAt(rng.NextBelow(kGuestFrames), 1);
+  }
+  uint64_t longest_past_cursor = 0;
+  buddy.ForEachFreeRun([&](uint64_t lo, uint64_t count) {
+    if (lo >= kCursor) {
+      longest_past_cursor = std::max(longest_past_cursor, count);
+    }
+  });
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        policy::FindContiguousRun(buddy, longest_past_cursor, kCursor));
+  }
+}
+BENCHMARK(BM_FindContiguousRunShortRuns);
+
+// Sequential first touches of a fresh VMA on a base-page system: every
+// access takes a guest fault, then a host fault, and retries after each
+// (VirtualMachine::Access).  Each iteration builds a new machine untimed
+// and touches kTouched pages.
+void BM_FirstTouchSequential(benchmark::State& state) {
+  constexpr uint64_t kTouched = 4096;
+  for (auto _ : state) {
+    state.PauseTiming();
+    osim::MachineConfig config;
+    config.host_frames = 4 * kTouched;
+    osim::Machine machine(config);
+    osim::VirtualMachine& vm = harness::AddSystemVm(
+        machine, harness::SystemKind::kHostBVmB, 2 * kTouched);
+    const uint64_t start =
+        vm.guest().aspace().MapAnonymous(kTouched).start_page;
+    state.ResumeTiming();
+    for (uint64_t vpn = start; vpn < start + kTouched; ++vpn) {
+      benchmark::DoNotOptimize(machine.Access(0, vpn, 0));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kTouched);
+}
+BENCHMARK(BM_FirstTouchSequential)->Unit(benchmark::kMicrosecond);
+
+// One Gemini MHPS tick over 64 VMs whose tables and guest buddies did not
+// change since the previous tick (an idle collocated host).  Each VM maps
+// 24 guest and 24 EPT huge pages over 64 regions, half of them aligned,
+// plus base pages, so the misalignment lists are not empty.
+void BM_MhpsIdleTick64Vms(benchmark::State& state) {
+  constexpr uint64_t kRegions = 64;
+  struct Vm {
+    mmu::PageTable guest;
+    mmu::PageTable ept;
+    vmem::BuddyAllocator buddy{kRegions * kPagesPerHuge};
+    gemini::GeminiChannel channel;
+    gemini::Mhps mhps;
+  };
+  std::vector<std::unique_ptr<Vm>> vms;
+  base::Rng rng(8);
+  for (int v = 0; v < 64; ++v) {
+    auto vm = std::make_unique<Vm>();
+    for (uint64_t r = 0; r < 24; ++r) {
+      vm->guest.MapHuge(r, r * kPagesPerHuge);
+      vm->ept.MapHuge(r % 2 == 0 ? r : r + 32, r * kPagesPerHuge);
+      vm->guest.MapBase(
+          (32 + r) * kPagesPerHuge + rng.NextBelow(kPagesPerHuge),
+          (48 + r % 16) * kPagesPerHuge);
+      (void)vm->buddy.AllocateAt(r * kPagesPerHuge + rng.NextBelow(64), 1);
+    }
+    vms.push_back(std::move(vm));
+  }
+  base::Cycles now = 0;
+  for (auto _ : state) {
+    now += 1000;
+    for (const auto& vm : vms) {
+      vm->mhps.ScanVm(vm->guest, vm->ept, vm->buddy, now, vm->channel);
+    }
+    benchmark::DoNotOptimize(vms.front()->channel.well_aligned_count);
+  }
+}
+BENCHMARK(BM_MhpsIdleTick64Vms)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -3,27 +3,19 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
+
+#include "base/env.h"
 
 namespace harness {
 
 int SweepJobs() {
-  const char* env = std::getenv("GEMINI_JOBS");
-  if (env != nullptr && env[0] != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<int>(parsed);
-    }
-    std::fprintf(stderr,
-                 "[sweep] ignoring GEMINI_JOBS=%s (not a positive integer)\n",
-                 env);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return static_cast<int>(base::EnvPositiveInt(
+      "GEMINI_JOBS", hw > 0 ? hw : 1, std::numeric_limits<int>::max()));
 }
 
 SweepRunner::SweepRunner(SweepRunnerOptions options)

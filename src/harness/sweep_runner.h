@@ -26,10 +26,10 @@
 
 namespace harness {
 
-// Worker count for sweeps: the GEMINI_JOBS environment variable if it is a
-// positive integer, otherwise std::thread::hardware_concurrency (at least
-// 1).  Values of GEMINI_JOBS that do not parse as a positive integer fall
-// back to the hardware default.
+// Worker count for sweeps: the GEMINI_JOBS environment variable, or
+// std::thread::hardware_concurrency (at least 1) when it is unset or
+// empty.  Any other value must be a whole positive decimal integer, or the
+// run aborts naming the variable (base/env.h).
 int SweepJobs();
 
 struct SweepRunnerOptions {

@@ -221,4 +221,35 @@ void NestedWalker::Flush() {
   nested_pml4_.Flush();
 }
 
+void NestedWalker::HashState(base::Digest* d) const {
+  guest_pwc_.HashState(d);
+  host_pwc_.HashState(d);
+  nested_pt_.HashState(d);
+  nested_pd_.HashState(d);
+  nested_pdpt_.HashState(d);
+  nested_pml4_.HashState(d);
+  for (size_t i = 0; i < memo_.size(); ++i) {
+    const Memo& m = memo_[i];
+    if (m.region == kNoRegion) {
+      continue;  // never armed
+    }
+    d->Add(i);
+    d->Add(m.region);
+    d->Add(m.guest_leaf);
+    for (uint32_t r = 0; r < kMemoRefs; ++r) {
+      d->Add(m.slots[r]);
+      d->Add(m.muts[r]);
+    }
+  }
+  const WalkLevelStats s = stats();
+  for (const auto* level : {&s.guest_mem, &s.guest_cached, &s.host_mem,
+                            &s.host_cached, &s.nested_hit, &s.nested_walk}) {
+    for (const uint64_t v : *level) {
+      d->Add(v);
+    }
+  }
+  d->Add(s.memo_hits);
+  d->Add(s.memo_upper_hits);
+}
+
 }  // namespace mmu

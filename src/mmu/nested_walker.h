@@ -99,6 +99,9 @@ class NestedWalker {
 
   void Flush();
 
+  // Folds every page-walk and nested cache, the walk memo and the stats.
+  void HashState(base::Digest* d) const;
+
   // Advisory warm-up of the memo line a NestedWalk of this region would
   // probe (one cache line per entry by construction); no observable state.
   void PrefetchMemo(uint64_t region) const {

@@ -95,6 +95,17 @@ void PrefixCache::Flush() {
   bucket_head_.assign(bucket_head_.size(), -1);
 }
 
+void PrefixCache::HashState(base::Digest* d) const {
+  d->AddAll(keys_);
+  d->AddAll(bucket_head_);
+  d->AddAll(chain_next_);
+  d->AddAll(lru_prev_);
+  d->AddAll(lru_next_);
+  d->Add(static_cast<uint64_t>(lru_head_));
+  d->Add(static_cast<uint64_t>(lru_tail_));
+  d->Add(mutations_);
+}
+
 WalkCost PageWalkCache::Walk(uint64_t vpn, base::PageSize leaf_size) {
   WalkCost cost;
   // PML4 reference: one entry per 512 GiB of virtual space.

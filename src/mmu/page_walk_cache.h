@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/digest.h"
 #include "base/types.h"
 
 namespace mmu {
@@ -92,6 +93,9 @@ class PrefixCache {
   size_t size() const { return keys_.size(); }
 
   void Flush();
+
+  // Folds keys, index chains, recency order and the mutation counter.
+  void HashState(base::Digest* d) const;
 
  private:
   uint32_t Bucket(uint64_t prefix) const {
@@ -168,6 +172,11 @@ class PageWalkCache {
   WalkCost Walk(uint64_t vpn, base::PageSize leaf_size);
 
   void Flush();
+
+  void HashState(base::Digest* d) const {
+    pml4_.HashState(d);
+    pdpt_.HashState(d);
+  }
 
   // Per-level caches, exposed for the nested walker's memo (mutation
   // counters + slot touches) and for tests.

@@ -1,5 +1,8 @@
 #include "mmu/tlb.h"
 
+#include <array>
+#include <cstring>
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #define MMU_TLB_HAVE_AVX2_PROBE 1
@@ -213,17 +216,7 @@ Tlb::LookupResult Tlb::Lookup(uint64_t vpn, uint16_t vmid) {
     const Entry& e = entries_[i];
     return LookupResult{true, base::PageSize::kBase, e.frame, e.stamp};
   }
-  VmTlbCounters& c = Counters(vmid);
-  ++c.misses;
-  last_hit_ = -1;
-  if (__builtin_expect(monitor_ != nullptr, 0)) {
-    // Displaced-record probe: was this very translation evicted earlier?
-    const int32_t evictor = monitor_->AttributeMiss(vpn, vmid);
-    if (evictor >= 0) {
-      ++(static_cast<uint16_t>(evictor) == vmid ? c.displaced_by_self
-                                                : c.displaced_by_other);
-    }
-  }
+  CountMiss(vpn, vmid);
   return LookupResult{};
 }
 
@@ -352,6 +345,39 @@ void Tlb::AddSlot(uint32_t set, uint32_t way) {
   for (const uint16_t vmid : windowed_) {
     VmState& vm = vms_[vmid];
     vm.window_valid += static_cast<uint32_t>(way - vm.way_begin < vm.way_count);
+  }
+}
+
+void Tlb::HashState(base::Digest* d) const {
+  d->AddAll(tags_);
+  d->AddAll(lru_);
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    if ((tags_[i] & 1) == 0) {
+      continue;  // an invalid way's payload is never read
+    }
+    const Entry& e = entries_[i];
+    d->Add(e.frame);
+    d->Add(e.stamp.guest_gen);
+    d->Add(e.stamp.host_region);
+    d->Add(e.stamp.host_gen);
+    d->Add(e.stamp.well_aligned);
+  }
+  d->AddAll(huge_hit_memo_);
+  d->AddAll(set_valid_);
+  d->Add(valid_total_);
+  d->Add(static_cast<uint64_t>(last_hit_));
+  d->Add(clock_);
+  d->Add(flushes_);
+  static_assert(sizeof(VmTlbCounters) % sizeof(uint64_t) == 0);
+  for (const VmState& vm : vms_) {
+    d->Add(vm.way_begin);
+    d->Add(vm.way_count);
+    d->Add(vm.window_valid);
+    std::array<uint64_t, sizeof(VmTlbCounters) / sizeof(uint64_t)> words;
+    std::memcpy(words.data(), &vm.counters, sizeof(words));
+    for (const uint64_t w : words) {
+      d->Add(w);
+    }
   }
 }
 

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/digest.h"
 #include "base/types.h"
 #include "mmu/tlb_utility_monitor.h"
 
@@ -214,6 +215,14 @@ class Tlb {
   // access will be retried and counted then).
   void UncountFaultMiss(uint16_t vmid = 0);
 
+  // Exactly what Lookup does for a vpn no entry of `vmid` covers: advances
+  // the clock, then CountMiss.  For a caller that has proven the probe
+  // would miss (the engine's retry after a fault).
+  void CountProvenMiss(uint64_t vpn, uint16_t vmid = 0) {
+    ++clock_;
+    CountMiss(vpn, vmid);
+  }
+
   // Invalidates every entry of every VM (full flush; e.g. context switch).
   void Flush();
 
@@ -260,6 +269,10 @@ class Tlb {
   // bookkeeping (an eviction with free ways elsewhere in the inserting
   // VM's window is a conflict, not a capacity, eviction).
   uint32_t set_occupancy(uint32_t set) const;
+
+  // Folds every way's tag, LRU stamp and payload, the clock, the last hit,
+  // the huge-hit memo and every VM's window and counters.
+  void HashState(base::Digest* d) const;
 
   void ResetCounters();
   // Zeroes one VM's counter slot only (a shared view resetting itself must
@@ -334,6 +347,21 @@ class Tlb {
       RegisterVm(vmid);
     }
     return vms_[vmid].counters;
+  }
+  // Lookup's miss tail: counts the miss, clears the last hit and, with a
+  // monitor attached, attributes the miss to a displaced record.
+  void CountMiss(uint64_t vpn, uint16_t vmid) {
+    VmTlbCounters& c = Counters(vmid);
+    ++c.misses;
+    last_hit_ = -1;
+    if (__builtin_expect(monitor_ != nullptr, 0)) {
+      // Displaced-record probe: was this very translation evicted earlier?
+      const int32_t evictor = monitor_->AttributeMiss(vpn, vmid);
+      if (evictor >= 0) {
+        ++(static_cast<uint16_t>(evictor) == vmid ? c.displaced_by_self
+                                                  : c.displaced_by_other);
+      }
+    }
   }
   // Validity bookkeeping when slot `i` (way `way` of `set`) becomes
   // invalid / gains a valid entry: set residency, total, and every covering

@@ -155,6 +155,12 @@ class TlbView {
     }
     physical_->UncountFaultMiss(vmid_);
   }
+  // Charges a Lookup of `vpn` the caller has proven to miss (a retry
+  // after a fault, which the epoch model confines to the serial phase).
+  void CountProvenMiss(uint64_t vpn) {
+    SIM_CHECK(stage_ == nullptr);
+    physical_->CountProvenMiss(vpn, vmid_);
+  }
   uint32_t ShootdownPage(uint64_t vpn) {
     if (__builtin_expect(stage_ != nullptr, 0)) {
       return stage_->ShootdownPage(vpn);

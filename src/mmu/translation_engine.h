@@ -28,7 +28,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
+#include "base/digest.h"
 #include "base/stats.h"
 #include "base/types.h"
 #include "mmu/nested_walker.h"
@@ -78,6 +80,15 @@ class TranslationEngine {
   // fault and retry.
   TranslateResult Translate(uint64_t vpn);
 
+  // Retries `vpn` after the caller resolved the fault that the previous
+  // Translate (or TranslateAfterFault) of the same vpn returned, with only
+  // fault handling in between.  That attempt missed or dropped every entry
+  // covering vpn, and fault handlers never insert one, so the retry's memo
+  // check and TLB probe must miss: this goes straight to the miss path
+  // after charging what the missing probe would have charged.  Identical in
+  // every observable to Translate(vpn) (DESIGN.md §3l).
+  TranslateResult TranslateAfterFault(uint64_t vpn);
+
   // Invalidation hooks for unmap/migration/promotion events.
   void ShootdownPage(uint64_t vpn) { tlb_.ShootdownPage(vpn); }
   void ShootdownRange(uint64_t vpn, uint64_t pages) {
@@ -108,6 +119,11 @@ class TranslationEngine {
   WalkLevelStats walk_stats() const { return walker_.stats(); }
   void ResetCounters();
 
+  // Folds the walker, the hit memo, the counters and the latency
+  // histogram; not the TLB, whose array a shared view hashes once through
+  // tlb().physical().
+  void HashState(base::Digest* d) const;
+
   bool virtualized() const { return host_table_ != nullptr; }
 
  private:
@@ -129,6 +145,13 @@ class TranslationEngine {
 
   // The translation itself; Translate() adds the latency sample.
   TranslateResult TranslateImpl(uint64_t vpn);
+  // The miss path after the TLB probe: table lookups, fault report or walk
+  // and fill.  `guest`/`host` carry the lookups a stale hit's validation
+  // already made (`*_fetched`).  Inlined into both callers.
+  TranslateResult MissPath(uint64_t vpn, std::optional<Translation> guest,
+                           bool guest_fetched,
+                           std::optional<Translation> host,
+                           bool host_fetched);
 
   bool MemoValid(const RegionMemo& m, uint64_t region) const {
     return m.region == region &&

@@ -34,8 +34,12 @@ VirtualMachine::AccessResult VirtualMachine::Access(uint64_t vpn) {
   AccessResult result;
   // A single access takes at most: guest fault, then host fault (the guest
   // mapping may target a not-yet-backed GFN), then a clean translation.
+  // Retries resume the failed attempt's miss path instead of probing the
+  // TLB again for an entry that cannot be there.
   for (int attempt = 0; attempt < 4; ++attempt) {
-    const mmu::TranslateResult tr = engine_.Translate(vpn);
+    const mmu::TranslateResult tr = attempt == 0
+                                        ? engine_.Translate(vpn)
+                                        : engine_.TranslateAfterFault(vpn);
     switch (tr.status) {
       case mmu::TranslateStatus::kOk:
         result.cycles += tr.cycles;

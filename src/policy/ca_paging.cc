@@ -13,45 +13,53 @@ uint64_t FindContiguousRun(const vmem::BuddyAllocator& buddy,
   // first fitting run before the cursor as its wrap-around answer, and
   // restarts the run at that block end, so the answer inside the run that
   // holds the cursor depends on whether an earlier run already fit.  Runs
-  // that start at or past the cursor answer with their start either way.
+  // that start at or past the cursor answer with their start either way,
+  // so past the run holding the cursor a first-fit word scan decides.
   uint64_t found = vmem::kInvalidFrame;
   // The walk's wrap-around answer, once the run holding the cursor needed
   // it: the first fit before that run, or that run itself.
   uint64_t first_fit = vmem::kInvalidFrame;
-  buddy.ForEachFreeRunFrom(cursor, [&](uint64_t lo, uint64_t count) {
-    if (lo >= cursor) {
-      if (count >= min_frames) {
-        found = lo;
+  // Where runs that start at or past the cursor begin: the end of the run
+  // holding the cursor, if one does.
+  uint64_t scan_from = cursor;
+  if (cursor < buddy.frame_count() && buddy.IsFrameFree(cursor)) {
+    buddy.ForEachFreeRunFrom(cursor, [&](uint64_t lo, uint64_t count) {
+      if (lo == cursor) {
+        return false;  // the run starts at the cursor: the scan covers it
       }
-      return found == vmem::kInvalidFrame;
-    }
-    // This run holds the cursor.
-    if (count < min_frames) {
-      return true;
-    }
-    const uint64_t hi = lo + count;
-    first_fit = buddy.FirstFreeRun(min_frames, lo);
-    if (first_fit == vmem::kInvalidFrame) {
-      // No earlier fit: the walk stops growing this run at the first block
-      // end `e` past lo + min_frames and, unless the cursor part fits by
-      // then, restarts the run at `e`.
-      first_fit = lo;
-      const uint64_t e = vmem::BuddyAllocator::BlockEndAtOrPast(
-          lo, hi, lo + min_frames);
-      if (e >= cursor) {
-        if (e - cursor >= min_frames) {
-          found = cursor;
-        } else if (hi - e >= min_frames) {
-          found = e;
+      // This run holds the cursor.
+      const uint64_t hi = lo + count;
+      scan_from = hi;
+      if (count < min_frames) {
+        return false;
+      }
+      first_fit = buddy.FirstFreeRun(min_frames, 0, lo);
+      if (first_fit == vmem::kInvalidFrame) {
+        // No earlier fit: the walk stops growing this run at the first
+        // block end `e` past lo + min_frames and, unless the cursor part
+        // fits by then, restarts the run at `e`.
+        first_fit = lo;
+        const uint64_t e = vmem::BuddyAllocator::BlockEndAtOrPast(
+            lo, hi, lo + min_frames);
+        if (e >= cursor) {
+          if (e - cursor >= min_frames) {
+            found = cursor;
+          } else if (hi - e >= min_frames) {
+            found = e;
+          }
+          return false;
         }
-        return found == vmem::kInvalidFrame;
       }
+      if (hi - cursor >= min_frames) {
+        found = cursor;  // the cursor sits inside a big-enough run
+      }
+      return false;
+    });
+    if (found != vmem::kInvalidFrame) {
+      return found;
     }
-    if (hi - cursor >= min_frames) {
-      found = cursor;  // the cursor sits inside a big-enough run
-    }
-    return found == vmem::kInvalidFrame;
-  });
+  }
+  found = buddy.FirstFreeRun(min_frames, scan_from, buddy.frame_count());
   if (found != vmem::kInvalidFrame) {
     return found;
   }
@@ -60,7 +68,7 @@ uint64_t FindContiguousRun(const vmem::BuddyAllocator& buddy,
   // cursor.
   return first_fit != vmem::kInvalidFrame
              ? first_fit
-             : buddy.FirstFreeRun(min_frames, cursor);
+             : buddy.FirstFreeRun(min_frames, 0, cursor);
 }
 
 CaPagingPolicy::CaPagingPolicy(const CaPagingOptions& options)

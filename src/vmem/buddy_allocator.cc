@@ -253,23 +253,34 @@ void BuddyAllocator::Free(uint64_t frame, uint64_t count) {
   InsertFreeRange(frame, frame + count);
 }
 
-uint64_t BuddyAllocator::FirstFreeRun(uint64_t min_frames,
+uint64_t BuddyAllocator::FirstFreeRun(uint64_t min_frames, uint64_t from,
                                       uint64_t limit) const {
   SIM_CHECK(min_frames > 0);
   limit = std::min(limit, frame_count_);
   // `open` counts the free frames that end at the current word boundary.
   uint64_t open = 0;
-  for (uint64_t w = 0; w * 64 < limit; ++w) {
-    uint64_t x = free_map_[w];
-    if (limit - w * 64 < 64) {
-      x &= (1ull << (limit - w * 64)) - 1;
+  // Clears the first word's frames below `from`.
+  uint64_t keep = ~0ull << (from & 63);
+  // Words [0, whole) lie wholly below `limit`.
+  const uint64_t whole = limit >> 6;
+  for (uint64_t w = from >> 6; w * 64 < limit; ++w) {
+    uint64_t x = free_map_[w] & keep;
+    keep = ~0ull;
+    if (w >= whole) {
+      x &= (1ull << (limit & 63)) - 1;
     }
     if (x == 0) {
       open = 0;
       continue;
     }
     if (x == ~0ull) {
+      // Long runs span many full words: take them in a tight loop.
       open += 64;
+      while (open < min_frames && w + 1 < whole &&
+             free_map_[w + 1] == ~0ull) {
+        ++w;
+        open += 64;
+      }
       if (open >= min_frames) {
         return w * 64 + 64 - open;
       }

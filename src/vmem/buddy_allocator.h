@@ -175,11 +175,14 @@ class BuddyAllocator {
     });
   }
 
-  // First frame of the lowest maximal free run of at least `min_frames`
-  // (> 0) frames that lies below `limit`, or kInvalidFrame.  A run that
-  // crosses `limit` counts only its part below it.  A word-level scan of
-  // free_map_ that stops at the first fit.
-  uint64_t FirstFreeRun(uint64_t min_frames, uint64_t limit) const;
+  // First frame of the lowest run of at least `min_frames` (> 0) free
+  // frames inside [from, limit), or kInvalidFrame.  Frames outside the
+  // range count as allocated: a maximal run that crosses `limit` counts
+  // only its part below it, and one that crosses `from` starts at `from`.
+  // A word-level scan of free_map_ from `from` that stops at the first
+  // fit.
+  uint64_t FirstFreeRun(uint64_t min_frames, uint64_t from,
+                        uint64_t limit) const;
 
   // End of the first block, in the greedy split ForEachFreeBlock applies
   // to the free run [lo, hi), that ends at or past `at` (lo < at <= hi).

@@ -19,13 +19,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "base/digest.h"
 #include "base/rng.h"
 #include "base/types.h"
 #include "harness/systems.h"
 #include "mmu/page_table.h"
+#include "mmu/tlb.h"
+#include "mmu/tlb_domain.h"
+#include "mmu/tlb_utility_monitor.h"
+#include "mmu/translation_engine.h"
 #include "os/machine.h"
 #include "os/virtual_machine.h"
 
@@ -276,6 +282,263 @@ TEST(AccessBatchChurn, MemoSurvivesGenerationChurn) {
   EXPECT_LT(engine.memo_hits(), tlb.hits());
   EXPECT_EQ(tlb.hits() + tlb.misses(), engine.translations());
   EXPECT_EQ(engine.translations(), 200u * 64u);
+}
+
+// --- Fault resume ----------------------------------------------------------
+//
+// VirtualMachine::Access retries a faulting access through
+// TranslationEngine::TranslateAfterFault, which skips the memo check and
+// TLB probe that the failed attempt proved must miss.  The reference is
+// the restarting retry it replaced: every attempt a full Translate, the
+// rest of Machine::Access unchanged.  Two identical machines replay the
+// same stream, one through each, and after every access the results and
+// the whole translation state (TLB tags, LRU, clock, counters, page-walk
+// caches, walker stats, hit memo, memo_hits, latency histogram) must
+// match.
+
+VirtualMachine::AccessResult RestartingAccess(osim::Machine& machine,
+                                              int32_t vm_id, uint64_t vpn,
+                                              base::Cycles work_cycles) {
+  VirtualMachine& vm = machine.vm(vm_id);
+  VirtualMachine::AccessResult result;
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    const mmu::TranslateResult tr = vm.engine().Translate(vpn);
+    switch (tr.status) {
+      case mmu::TranslateStatus::kOk:
+        result.cycles += tr.cycles + work_cycles;
+        result.tlb_hit = tr.tlb_hit;
+        result.well_aligned = tr.well_aligned_huge;
+        machine.AdvanceTime(result.cycles);
+        return result;
+      case mmu::TranslateStatus::kGuestFault:
+        result.cycles += vm.guest().HandleFault(tr.fault_page);
+        ++result.faults_taken;
+        break;
+      case mmu::TranslateStatus::kHostFault:
+        result.cycles += vm.host_slice().HandleFault(tr.fault_page);
+        ++result.faults_taken;
+        break;
+    }
+  }
+  ADD_FAILURE() << "access to vpn " << vpn << " did not converge";
+  return result;
+}
+
+// Digest of every VM's translation state; a shared array is hashed once.
+uint64_t TranslationDigest(osim::Machine& machine, int32_t vms) {
+  base::Digest d;
+  const mmu::Tlb* hashed = nullptr;
+  for (int32_t id = 0; id < vms; ++id) {
+    const mmu::TranslationEngine& engine = machine.vm(id).engine();
+    engine.HashState(&d);
+    const mmu::Tlb& tlb = engine.tlb().physical();
+    if (&tlb != hashed) {
+      tlb.HashState(&d);
+      hashed = &tlb;
+    }
+  }
+  return d.value();
+}
+
+// Fault kinds a stream took, so a test can require that it covered them.
+struct FaultMix {
+  uint64_t guest_only = 0;        // one guest fault, base guest mapping
+  uint64_t host_after_guest = 0;  // a guest fault, then a host fault
+  uint64_t huge_guest = 0;  // a guest fault that mapped a huge page (its
+                            // host backing comes via EnsureHostBacking)
+  uint64_t after_stale_hit = 0;  // the first attempt hit a stale entry
+};
+
+// Builds two identical machines with `vms` VMs of `kind` under `mode`,
+// replays a seeded stream of first touches and re-touches over fresh VMAs
+// with think time between bursts, restarting on `ref` and resuming on
+// `dut`, and checks equality after every access.  Tallies into `mix`.
+void ExpectResumeMatchesRestart(harness::SystemKind kind,
+                                mmu::TlbShareMode mode, int32_t vms,
+                                uint64_t seed, FaultMix* mix) {
+  osim::MachineConfig config;
+  config.host_frames = 32768;
+  config.daemon_period = 20000;
+  config.seed = seed;
+  config.tlb_mode = mode;
+  osim::Machine ref(config);
+  osim::Machine dut(config);
+  std::vector<uint64_t> base_vpns;
+  for (osim::Machine* m : {&ref, &dut}) {
+    for (int32_t id = 0; id < vms; ++id) {
+      VirtualMachine& vm = harness::AddSystemVm(*m, kind, 8192);
+      m->FragmentGuestMemory(id, 0.5);
+      if (m == &ref) {
+        base_vpns.push_back(
+            vm.guest().aspace().MapAnonymous(6 * kPagesPerHuge).start_page);
+      } else {
+        EXPECT_EQ(
+            vm.guest().aspace().MapAnonymous(6 * kPagesPerHuge).start_page,
+            base_vpns[id]);
+      }
+    }
+    m->FragmentHostMemory(0.5);
+  }
+  EXPECT_EQ(TranslationDigest(ref, vms), TranslationDigest(dut, vms));
+
+  base::Rng rng(seed);
+  for (int burst = 0; burst < 16; ++burst) {
+    const int32_t id = static_cast<int32_t>(rng.NextBelow(vms));
+    // Sequential first-touch runs and random re-touches, in one region.
+    const uint64_t region = rng.NextBelow(6);
+    const bool sequential = rng.NextBool(0.5);
+    const uint64_t len = 50 + rng.NextBelow(200);
+    for (uint64_t i = 0; i < len; ++i) {
+      const uint64_t off = sequential ? (i * 3) % kPagesPerHuge
+                                      : rng.NextBelow(kPagesPerHuge);
+      const uint64_t vpn = base_vpns[id] + region * kPagesPerHuge + off;
+      const uint64_t stale_before = dut.vm(id).engine().tlb().stale_drops();
+      const VirtualMachine::AccessResult want =
+          RestartingAccess(ref, id, vpn, 50);
+      const VirtualMachine::AccessResult got = dut.Access(id, vpn, 50);
+      ASSERT_EQ(want.cycles, got.cycles) << "burst " << burst << " i " << i;
+      ASSERT_EQ(want.tlb_hit, got.tlb_hit) << "burst " << burst;
+      ASSERT_EQ(want.well_aligned, got.well_aligned) << "burst " << burst;
+      ASSERT_EQ(want.faults_taken, got.faults_taken) << "burst " << burst;
+      ASSERT_EQ(TranslationDigest(ref, vms), TranslationDigest(dut, vms))
+          << "burst " << burst << " i " << i << " faults "
+          << got.faults_taken;
+      const mmu::TranslationEngine& a = ref.vm(id).engine();
+      const mmu::TranslationEngine& b = dut.vm(id).engine();
+      ASSERT_EQ(a.memo_hits(), b.memo_hits());
+      ASSERT_EQ(a.latency_histogram().buckets(),
+                b.latency_histogram().buckets());
+      if (got.faults_taken == 0) {
+        continue;
+      }
+      if (dut.vm(id).engine().tlb().stale_drops() != stale_before) {
+        ++mix->after_stale_hit;
+      }
+      const auto g = dut.vm(id).guest().table().Lookup(vpn);
+      if (got.faults_taken == 2) {
+        ++mix->host_after_guest;
+      } else if (g.has_value() && g->size == base::PageSize::kHuge) {
+        ++mix->huge_guest;
+      } else {
+        ++mix->guest_only;
+      }
+    }
+    if (rng.NextBool(0.5)) {
+      const base::Cycles think = 1000 * (1 + rng.NextBelow(50));
+      ref.AdvanceTime(think);
+      dut.AdvanceTime(think);
+    }
+    // Host reclaim swaps pages out behind the guest's back.  A private TLB
+    // is not flushed for it (generation stamps catch the change), so the
+    // next touch of such a page hits a stale entry, drops it and takes a
+    // host fault: a retry after a stale hit rather than a miss.
+    if (rng.NextBool(0.3)) {
+      for (osim::Machine* m : {&ref, &dut}) {
+        // Asks for more than is free, so the coldest region is swapped.
+        m->vm(id).host_slice().ReclaimFrames(
+            m->host().buddy().free_frames() + kPagesPerHuge / 2);
+      }
+    }
+  }
+  EXPECT_EQ(ref.Now(), dut.Now());
+}
+
+TEST(FaultResume, ResumedRetryMatchesRestartedRetry) {
+  FaultMix total;
+  for (const harness::SystemKind kind :
+       {harness::SystemKind::kHostBVmB, harness::SystemKind::kThp,
+        harness::SystemKind::kGemini, harness::SystemKind::kCaPaging}) {
+    SCOPED_TRACE(std::string(harness::SystemName(kind)));
+    ExpectResumeMatchesRestart(kind, mmu::TlbShareMode::kPrivate, 1, 11,
+                               &total);
+  }
+  // Every retry shape ran: after a guest fault, after a host fault that
+  // followed one, after a huge guest fault backed by EnsureHostBacking,
+  // and after a first attempt that dropped a stale entry.
+  EXPECT_GT(total.guest_only, 0u);
+  EXPECT_GT(total.host_after_guest, 0u);
+  EXPECT_GT(total.huge_guest, 0u);
+  EXPECT_GT(total.after_stale_hit, 0u);
+}
+
+// With a utility monitor attached, a missing probe still has effects:
+// Lookup's miss attribution takes a displaced huge record before a base
+// one, so a first attempt and its retry can each take one, and the resumed
+// retry must attribute its miss as the probe would.  Built at the engine
+// level, where the tables change without the kernel's shootdowns (which
+// would clear both records): the page's base entry and then its region's
+// huge entry are evicted, then the region is unmapped.
+TEST(FaultResume, MonitorAttributesTheResumedMiss) {
+  uint64_t displaced[2] = {0, 0};
+  uint64_t digest[2] = {0, 0};
+  for (const bool resume : {false, true}) {
+    const mmu::TlbConfig geometry{/*sets=*/4, /*ways=*/2};
+    mmu::TlbUtilityMonitor::Config mc;
+    mc.sets = geometry.sets;
+    mc.ways = geometry.ways;
+    mc.sample_stride = 1;
+    mmu::TlbUtilityMonitor monitor(mc);
+    mmu::Tlb tlb(geometry);
+    tlb.AttachUtilityMonitor(&monitor);
+    mmu::PageTable guest;
+    mmu::PageTable ept;
+    mmu::TranslationEngine engine(mmu::TranslationEngine::Config{}, &guest,
+                                  &ept, mmu::TlbView(&tlb, 0, true));
+    const auto translate_ok = [&](uint64_t vpn) {
+      ASSERT_EQ(engine.Translate(vpn).status, mmu::TranslateStatus::kOk)
+          << vpn;
+    };
+    ept.MapHuge(0, 0);
+    ept.MapHuge(1, kPagesPerHuge);
+    // Base entry for vpn 5 (set 1), evicted by two more base entries of
+    // set 1: a displaced base record.
+    guest.MapBase(5, 5);
+    translate_ok(5);
+    for (const uint64_t vpn : {kPagesPerHuge + 1, kPagesPerHuge + 5}) {
+      guest.MapBase(vpn, vpn);
+      translate_ok(vpn);
+    }
+    // Region 0 becomes a well-aligned huge page; its entry (set 0) is
+    // evicted the same way: a displaced huge record.
+    guest.UnmapBase(5);
+    guest.MapHuge(0, 0);
+    translate_ok(7);
+    for (const uint64_t vpn : {kPagesPerHuge + 0, kPagesPerHuge + 4}) {
+      guest.MapBase(vpn, vpn);
+      translate_ok(vpn);
+    }
+    // The guest drops region 0, then faults vpn 5 back in as a base page.
+    guest.UnmapHuge(0);
+    const uint64_t before = tlb.vm_counters(0).displaced_by_self;
+    ASSERT_EQ(engine.Translate(5).status, mmu::TranslateStatus::kGuestFault);
+    EXPECT_EQ(tlb.vm_counters(0).displaced_by_self, before + 1);
+    guest.MapBase(5, 5);
+    const mmu::TranslateResult retry =
+        resume ? engine.TranslateAfterFault(5) : engine.Translate(5);
+    ASSERT_EQ(retry.status, mmu::TranslateStatus::kOk);
+    displaced[resume] = tlb.vm_counters(0).displaced_by_self - before;
+    base::Digest d;
+    tlb.HashState(&d);
+    engine.HashState(&d);
+    digest[resume] = d.value();
+  }
+  // The restarting retry took the second record; the resumed one must too.
+  EXPECT_EQ(displaced[0], 2u);
+  EXPECT_EQ(displaced[1], displaced[0]);
+  EXPECT_EQ(digest[1], digest[0]);
+}
+
+// A shared TLB carries a utility monitor and tags entries by VM: the
+// resumed retry must match the restarting one across three tenants,
+// displaced-by attribution included.
+TEST(FaultResume, SharedTlbResumedRetryMatchesRestartedRetry) {
+  for (const harness::SystemKind kind :
+       {harness::SystemKind::kHostBVmB, harness::SystemKind::kThp}) {
+    SCOPED_TRACE(std::string(harness::SystemName(kind)));
+    FaultMix mix;
+    ExpectResumeMatchesRestart(kind, mmu::TlbShareMode::kShared, 3, 5, &mix);
+    EXPECT_GT(mix.guest_only + mix.host_after_guest + mix.huge_guest, 0u);
+  }
 }
 
 }  // namespace

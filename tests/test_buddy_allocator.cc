@@ -209,9 +209,9 @@ TEST(Buddy, FreesCountsOnlyFrees) {
   EXPECT_EQ(buddy.frees(), 2u);
 }
 
-// ForEachFreeRunFrom and FirstFreeRun against brute force over the free
-// map on randomly fragmented buddies, including sizes that are not a
-// multiple of 64 and runs that cross word boundaries.
+// ForEachFreeRunFrom and FirstFreeRun (over random ranges) against brute
+// force over the free map on randomly fragmented buddies, including sizes
+// that are not a multiple of 64 and runs that cross word boundaries.
 TEST(Buddy, RunWalkFromAndFirstFreeRunMatchBruteForce) {
   base::Rng rng(77);
   for (int trial = 0; trial < 40; ++trial) {
@@ -254,16 +254,21 @@ TEST(Buddy, RunWalkFromAndFirstFreeRunMatchBruteForce) {
 
       const uint64_t min_frames = 1 + rng.NextBelow(rng.NextBool(0.5) ? 70 : 400);
       const uint64_t limit = rng.NextBelow(frames + 3);
+      // Half the queries scan from frame 0, the rest from a random frame
+      // that may cut a run or lie past `limit`.
+      const uint64_t start = rng.NextBool(0.5) ? 0 : rng.NextBelow(frames + 3);
       uint64_t first = kInvalidFrame;
       for (const auto& [lo, count] : runs) {
-        if (lo < limit && std::min(lo + count, limit) - lo >= min_frames) {
-          first = lo;
+        const uint64_t a = std::max(lo, start);
+        const uint64_t b = std::min(lo + count, limit);
+        if (a < b && b - a >= min_frames) {
+          first = a;
           break;
         }
       }
-      ASSERT_EQ(buddy.FirstFreeRun(min_frames, limit), first)
-          << "trial " << trial << " min " << min_frames << " limit "
-          << limit;
+      ASSERT_EQ(buddy.FirstFreeRun(min_frames, start, limit), first)
+          << "trial " << trial << " min " << min_frames << " from " << start
+          << " limit " << limit;
     }
   }
 }

@@ -82,12 +82,20 @@ TEST(SweepJobs, ParsesPositiveInteger) {
 }
 
 TEST(SweepJobs, RejectsNonPositiveAndGarbage) {
-  for (const char* bad : {"0", "-3", "abc", "4x", ""}) {
-    ScopedEnv env("GEMINI_JOBS", bad);
-    EXPECT_GE(harness::SweepJobs(), 1) << "GEMINI_JOBS=" << bad;
+  for (const char* bad : {"0", "-3", "abc", "4x"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("GEMINI_JOBS", bad, 1);
+          harness::SweepJobs();
+        },
+        "GEMINI_JOBS")
+        << bad;
   }
-  ScopedEnv env("GEMINI_JOBS", nullptr);
-  EXPECT_GE(harness::SweepJobs(), 1);
+  // Unset or empty still means all cores.
+  for (const char* unset : {static_cast<const char*>(nullptr), ""}) {
+    ScopedEnv env("GEMINI_JOBS", unset);
+    EXPECT_GE(harness::SweepJobs(), 1);
+  }
 }
 
 TEST(SweepRunner, SingleJobRunsInlineOnCaller) {

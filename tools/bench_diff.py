@@ -25,6 +25,12 @@ runners are too noisy for tight thresholds (see BENCHMARKS.md "Reading
 bench_diff.py output"); miss_heavy is walker-bound and stable enough
 to gate at a generous 15%.  Exit code 2 still means an input file was
 missing or malformed.
+
+Simulation digests always gate.  A scenario present in both files whose
+rows both carry a `digest` (bench_collocation, bench_overcommit) must
+carry the same one, or the run fails with exit code 1 whatever the other
+flags say: the digest fingerprints the simulated result, which no host
+can change.  Wall-clock columns stay report-only.
 """
 import argparse
 import json
@@ -108,6 +114,19 @@ def main(argv):
         print(f"| {name} | {old:.2f} | - | removed "
               f"| {fmt_lat(baseline[name])} | - |")
     print()
+    digested = [name for name in shared
+                if "digest" in baseline[name] and "digest" in current[name]]
+    changed = [name for name in digested
+               if baseline[name]["digest"] != current[name]["digest"]]
+    if changed:
+        print("_Digest: FAILED — simulated result changed on: "
+              + ", ".join(f"`{n}`" for n in changed) + "._")
+        for name in changed:
+            print(f"bench_diff: {name} digest {baseline[name]['digest']} -> "
+                  f"{current[name]['digest']}", file=sys.stderr)
+        return 1
+    if digested:
+        print("_Digest: OK — every shared scenario matches its baseline._")
     if args.fail_threshold is None:
         print("_Report-only: pass --fail-threshold to gate on a regression._")
         return 0
